@@ -2,7 +2,9 @@
 
 Every verb prints machine-parseable ``key: value`` lines (terms rendered by
 the canonical printer).  Boolean verdicts are mirrored in the exit code
-(0 yes / 1 no); usage and parse errors exit 2, exhausted budgets exit 3.
+(0 yes / 1 no); usage and parse errors exit 2, exhausted budgets exit 3,
+and inputs too deeply nested or too large to process (Python's recursion
+limit or memory ran out) exit 4.
 """
 
 from __future__ import annotations
@@ -272,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PropalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deeply nested or too large ({type(exc).__name__})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,6 +31,7 @@ from .terms import (
     Term,
     TrueConst,
     Variety,
+    atoms,
     depth,
     enumerate_basic_forms,
 )
@@ -58,7 +59,7 @@ class OperatorCatalog:
         binary = tuple(
             t
             for t in enumerate_basic_forms(("x", "y"), body_depth)
-            if _mentions(t, X) and _mentions(t, Y)
+            if X in atoms(t) and Y in atoms(t)
         )
         return OperatorCatalog(unary, binary, body_depth)
 
@@ -86,14 +87,6 @@ class CompositionTerm:
 
 def _is_const(t: Term) -> bool:
     return isinstance(t, (TrueConst, FalseConst))
-
-
-def _mentions(t: Term, a: Atom) -> bool:
-    if isinstance(t, AtomTerm):
-        return t.atom == a
-    if isinstance(t, Cond):
-        return _mentions(t.left, a) or _mentions(t.cond, a) or _mentions(t.right, a)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +244,15 @@ def search_equivalent(
     """First enumerated composition k-equal to the target, or None.
 
     The enumeration order is fixed, so identical inputs yield the identical
-    witness.
+    witness.  The target is normalized once; st compares through ``equal``,
+    whose canonical forms range over the atoms of both sides.
     """
-    goal = normalize(target, Variety.FR)
+    goal = None if k == Variety.ST else normalize(target, k)
     for cand in enumerate_tc12(atom_names, catalog, max_2p, result_depth, budget):
-        if k == Variety.FR:
-            if cand.term == goal:
+        if goal is None:
+            if equal(cand.term, target, k):
                 return cand
-        elif equal(cand.term, target, k):
+        elif (cand.term if k == Variety.FR else normalize(cand.term, k)) is goal:
             return cand
     return None
 

@@ -52,12 +52,21 @@ class Term:
     __slots__ = ()
 
 
+# Writes the slots of the frozen node classes: the fields when a node is
+# built, and each structural fact when it is first asked for.
+_set = object.__setattr__
+
+# One shared frozenset per distinct atom set, so that nodes storing their
+# atom sets do not each hold a copy.
+_ATOM_SETS: dict[frozenset, frozenset] = {}
+
+
+def _intern_atoms(s: frozenset[Atom]) -> frozenset[Atom]:
+    return _ATOM_SETS.setdefault(s, s)
+
+
 def _identity_eq(self, other):
     return self is other
-
-
-def _identity_hash(self):
-    return id(self)
 
 
 @dataclass(frozen=True)
@@ -82,14 +91,20 @@ TRUE = object.__new__(TrueConst)
 FALSE = object.__new__(FalseConst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AtomTerm(Term):
+    """An atom as a term; ``_atoms`` is its one-element atom set, built once."""
+
+    __slots__ = ("atom", "_atoms")
+
     atom: Atom
 
     def __new__(cls, atom: Atom) -> "AtomTerm":
         inst = _ATOM_TERMS.get(atom)
         if inst is None:
             inst = object.__new__(cls)
+            _set(inst, "atom", atom)
+            _set(inst, "_atoms", _intern_atoms(frozenset((atom,))))
             _ATOM_TERMS[atom] = inst
         return inst
 
@@ -100,9 +115,21 @@ class AtomTerm(Term):
 _ATOM_TERMS: dict[Atom, AtomTerm] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cond(Term):
-    """Conditional composition: ``left <| cond |> right``."""
+    """Conditional composition: ``left <| cond |> right``.
+
+    Besides its three fields a node has slots for structural facts, filled
+    on first use by ``depth``, ``atoms``, ``is_basic`` and ``is_k_basic``:
+    a node is immutable and shared, so each fact is computed once per node
+    rather than once per occurrence.  ``_kb`` holds two bits per main-chain
+    variety: "checked" and "is k-basic".  The facts are not computed in
+    ``__new__``, because parsed terms may hold sugared children, on which
+    ``depth`` and ``atoms`` raise.  There is no ``__init__``: a hash-cons hit
+    returns the shared node untouched.
+    """
+
+    __slots__ = ("left", "cond", "right", "_depth", "_atoms", "_basic", "_kb")
 
     left: Term
     cond: Term
@@ -113,6 +140,13 @@ class Cond(Term):
         inst = _CONDS.get(key)
         if inst is None:
             inst = object.__new__(cls)
+            _set(inst, "left", left)
+            _set(inst, "cond", cond)
+            _set(inst, "right", right)
+            _set(inst, "_depth", -1)
+            _set(inst, "_atoms", None)
+            _set(inst, "_basic", None)
+            _set(inst, "_kb", 0)
             _CONDS[key] = inst
         return inst
 
@@ -124,7 +158,9 @@ _CONDS: dict[tuple[Term, Term, Term], Cond] = {}
 
 for _cls in (TrueConst, FalseConst, AtomTerm, Cond):
     _cls.__eq__ = _identity_eq  # type: ignore[method-assign]
-    _cls.__hash__ = _identity_hash  # type: ignore[method-assign]
+    # object's own identity hash: a C slot, cheaper in every hash-cons and
+    # memo-table lookup than a Python-level function.
+    _cls.__hash__ = object.__hash__  # type: ignore[method-assign]
 
 
 def atom(name: str) -> AtomTerm:
@@ -177,23 +213,44 @@ def depth(t: Term) -> int:
     Constants have depth 0 and atoms depth 1; for a conditional the central
     depth is paid before either branch.
     """
+    if isinstance(t, Cond):
+        d = t._depth
+        if d < 0:
+            d = depth(t.cond) + max(depth(t.left), depth(t.right))
+            _set(t, "_depth", d)
+        return d
     if isinstance(t, (TrueConst, FalseConst)):
         return 0
     if isinstance(t, AtomTerm):
         return 1
-    if isinstance(t, Cond):
-        return depth(t.cond) + max(depth(t.left), depth(t.right))
     raise TypeError(f"not a core term: {t!r}")
 
 
+_NO_ATOMS: frozenset[Atom] = _intern_atoms(frozenset())
+
+
 def atoms(t: Term) -> frozenset[Atom]:
-    """The set of atoms occurring anywhere in the term."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return frozenset()
-    if isinstance(t, AtomTerm):
-        return frozenset({t.atom})
+    """The set of atoms occurring anywhere in the term.
+
+    The sets are shared: a node whose atoms are those of one child holds
+    that child's set, and the other sets are interned.
+    """
     if isinstance(t, Cond):
-        return atoms(t.left) | atoms(t.cond) | atoms(t.right)
+        s = t._atoms
+        if s is None:
+            parts = (atoms(t.left), atoms(t.cond), atoms(t.right))
+            union = parts[0] | parts[1] | parts[2]
+            for s in parts:
+                if len(s) == len(union):
+                    break
+            else:
+                s = _intern_atoms(union)
+            _set(t, "_atoms", s)
+        return s
+    if isinstance(t, AtomTerm):
+        return t._atoms
+    if isinstance(t, (TrueConst, FalseConst)):
+        return _NO_ATOMS
     raise TypeError(f"not a core term: {t!r}")
 
 
@@ -214,11 +271,13 @@ def subst_atom(t: Term, a: Atom, replacement: Term) -> Term:
 
 def is_basic(t: Term) -> bool:
     """True iff ``t`` is a basic form: T/F leaves, atomic central conditions."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return True
     if isinstance(t, Cond):
-        return isinstance(t.cond, AtomTerm) and is_basic(t.left) and is_basic(t.right)
-    return False
+        b = t._basic
+        if b is None:
+            b = isinstance(t.cond, AtomTerm) and is_basic(t.left) and is_basic(t.right)
+            _set(t, "_basic", b)
+        return b
+    return isinstance(t, (TrueConst, FalseConst))
 
 
 def central_atom(t: Term) -> Atom | None:
@@ -256,8 +315,26 @@ def _rp_child_ok(child: Term, a: Atom) -> bool:
     return child.left == child.right
 
 
+# The "checked" bit of each main-chain variety in ``Cond._kb``; the bit
+# above it records the verdict.
+_KB_CHECKED = {k: 1 << (2 * i) for i, k in enumerate(MAIN_CHAIN)}
+
+
 def is_k_basic(t: Term, k: Variety) -> bool:
     """True iff ``t`` is a k-basic (canonical-shape) form for the given variety."""
+    bit = _KB_CHECKED.get(k)
+    if bit is None or not isinstance(t, Cond):
+        return _is_k_basic(t, k)
+    kb = t._kb
+    if not kb & bit:
+        kb |= bit | (bit << 1 if _is_k_basic(t, k) else 0)
+        _set(t, "_kb", kb)
+    return bool(kb & (bit << 1))
+
+
+def _is_k_basic(t: Term, k: Variety) -> bool:
+    # The grammar of the k-basic forms; children are checked through the
+    # memoizing ``is_k_basic``.
     if not is_basic(t):
         return False
     if k == Variety.FR:

@@ -155,3 +155,25 @@ def test_error_exits(capsys):
     assert code == 2
     code, _, _ = run(capsys, "normalize", "--variety", "pmem", "a")
     assert code == 2
+
+
+def test_deep_input_is_an_error_not_a_verdict(capsys):
+    # Exit 1 means "not equal"; an input past the recursion limit must not
+    # be reported as that verdict.
+    chain = " land ".join(f"a{i}" for i in range(3000))
+    code, out, err = run(capsys, "equal", "--variety", "fr", chain, chain)
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "RecursionError" in err
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_4(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("propalg.congruence.equal", exhausted)
+    code, out, err = run(capsys, "equal", "--variety", "fr", "a", "a")
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "MemoryError" in err
