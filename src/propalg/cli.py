@@ -2,8 +2,9 @@
 
 Every verb prints machine-parseable ``key: value`` lines (terms rendered by
 the canonical printer).  Boolean verdicts are mirrored in the exit code
-(0 yes / 1 no); usage and parse errors exit 2, exhausted budgets exit 3,
-and inputs too deeply nested or too large to process (Python's recursion
+(0 yes / 1 no); usage and parse errors exit 2 (a statement nested too
+deeply to parse is a parse error), exhausted budgets exit 3, and inputs too
+deeply nested or too large to process after parsing (Python's recursion
 limit or memory ran out) exit 4.
 """
 

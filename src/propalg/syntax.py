@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, parser, pretty-printer, and desugaring.
+"""Concrete syntax: parser, pretty-printer, and desugaring.
 
 Sugared terms extend the core constructors with negation, and-then, and the
 eight sequential binary connectives.  ``desugar`` rewrites them into pure
@@ -10,16 +10,23 @@ conditional composition by their defining equations:
     x lor y     = T <| x |> y          x ror y   = T <| y |> x
     x limp y    = y <| x |> T          x rimp y  = T <| y |> not x
     x liff y    = y <| x |> not y      x riff y  = x <| y |> not x
+
+``parse`` splits the text into token strings with one scan of a compiled
+regular expression, then builds the sugared term by precedence climbing
+(Pratt's top-down operator precedence), driven by the level of each binary
+keyword.  Token positions are not tracked: the ``line:col`` of an error is
+computed from the text only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import SyntaxValidationError
 from .terms import (
+    _ATOM_RE,
+    _ATOM_TERMS,
     FALSE,
     RESERVED_WORDS,
     TRUE,
@@ -94,35 +101,31 @@ _BINARY_CLASSES: dict[str, type[BinarySugar]] = {
 }
 
 
+# The defining equation of each binary connective, on desugared operands.
+_EXPANSIONS = {
+    AndThen: lambda x, y: Cond(y, x, y),
+    LeftAnd: lambda x, y: Cond(y, x, FALSE),
+    RightAnd: lambda x, y: Cond(x, y, FALSE),
+    LeftOr: lambda x, y: Cond(TRUE, x, y),
+    RightOr: lambda x, y: Cond(TRUE, y, x),
+    LeftImp: lambda x, y: Cond(y, x, TRUE),
+    RightImp: lambda x, y: Cond(TRUE, y, Cond(FALSE, x, TRUE)),
+    LeftBiimp: lambda x, y: Cond(y, x, Cond(FALSE, y, TRUE)),
+    RightBiimp: lambda x, y: Cond(x, y, Cond(FALSE, x, TRUE)),
+}
+
+
 def desugar(s: Term) -> Term:
     """Rewrite a sugared term into the core language via the defining equations."""
     if isinstance(s, (TrueConst, FalseConst, AtomTerm)):
         return s
+    expand = _EXPANSIONS.get(type(s))
+    if expand is not None:
+        return expand(desugar(s.left), desugar(s.right))
     if isinstance(s, Cond):
         return Cond(desugar(s.left), desugar(s.cond), desugar(s.right))
     if isinstance(s, Not):
         return Cond(FALSE, desugar(s.operand), TRUE)
-    if isinstance(s, BinarySugar):
-        x = desugar(s.left)
-        y = desugar(s.right)
-        if isinstance(s, AndThen):
-            return Cond(y, x, y)
-        if isinstance(s, LeftAnd):
-            return Cond(y, x, FALSE)
-        if isinstance(s, RightAnd):
-            return Cond(x, y, FALSE)
-        if isinstance(s, LeftOr):
-            return Cond(TRUE, x, y)
-        if isinstance(s, RightOr):
-            return Cond(TRUE, y, x)
-        if isinstance(s, LeftImp):
-            return Cond(y, x, TRUE)
-        if isinstance(s, RightImp):
-            return Cond(TRUE, y, Cond(FALSE, x, TRUE))
-        if isinstance(s, LeftBiimp):
-            return Cond(y, x, Cond(FALSE, y, TRUE))
-        if isinstance(s, RightBiimp):
-            return Cond(x, y, Cond(FALSE, x, TRUE))
     raise TypeError(f"not a sugared term: {s!r}")
 
 
@@ -142,165 +145,124 @@ def sugared_atoms(s: Term) -> frozenset[Atom]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: one regex scan, then precedence climbing over the token strings
+
+# One match per token: a bar, a parenthesis, a word, or any other character
+# that is not whitespace, which no rule of the grammar accepts.  ``findall``
+# skips the whitespace between matches.
+_TOKEN_RE = re.compile(r"<\||\|>|[()]|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
+_VALID_TOKEN_RE = re.compile(r"<\||\|>|[()]|[A-Za-z]")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'word', 'lbar', 'rbar', 'lparen', 'rparen', 'eof'
-    text: str
-    line: int
-    col: int
+class _ParseError(Exception):
+    """A parse failure at the token on top of the stack; ``parse`` adds its position."""
 
 
-_TOKEN_RE = re.compile(r"[ \t\r\n]+|(?P<lbar><\|)|(?P<rbar>\|>)|(?P<lp>\()|(?P<rp>\))|(?P<word>[A-Za-z][A-Za-z0-9_]*)")
+def _expected(toks: list[str], what: str) -> _ParseError:
+    return _ParseError(f"expected {what}, got {toks[-1] or 'end of input'!r}")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    idx = 0
-    line, col = 1, 1
-    while idx < len(text):
-        m = _TOKEN_RE.match(text, idx)
-        if not m:
-            raise SyntaxValidationError(f"{line}:{col}: unexpected character {text[idx]!r}")
-        chunk = m.group(0)
-        if m.lastgroup == "lbar":
-            tokens.append(Token("lbar", chunk, line, col))
-        elif m.lastgroup == "rbar":
-            tokens.append(Token("rbar", chunk, line, col))
-        elif m.lastgroup == "lp":
-            tokens.append(Token("lparen", chunk, line, col))
-        elif m.lastgroup == "rp":
-            tokens.append(Token("rparen", chunk, line, col))
-        elif m.lastgroup == "word":
-            tokens.append(Token("word", chunk, line, col))
-        # whitespace falls through
-        for ch in chunk:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        idx = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# Each function below reads from ``toks``, the token strings in reverse order
+# with "" (end of input) at the bottom, and pops what it consumes.
 
 
-# ---------------------------------------------------------------------------
-# Parser (recursive descent following the declared precedence)
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, expected: str) -> SyntaxValidationError:
-        tok = self.peek()
-        got = tok.text or "end of input"
-        return SyntaxValidationError(f"{tok.line}:{tok.col}: expected {expected}, got {got!r}")
-
-    def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.text in words
-
-    def parse_stmt(self) -> Term:
-        left = self.parse_biimp()
-        if self.peek().kind == "lbar":
-            self.advance()
-            middle = self.parse_biimp()
-            if self.peek().kind != "rbar":
-                raise self.error("'|>'")
-            self.advance()
-            right = self.parse_biimp()
-            return Cond(left, middle, right)
+def _stmt(toks: list[str]) -> Term:
+    # A bare conditional does not nest: its operands are parenthesized.
+    left = _expr(toks, _LEVEL_BIIMP)
+    if toks[-1] != "<|":
         return left
+    toks.pop()
+    middle = _expr(toks, _LEVEL_BIIMP)
+    if toks[-1] != "|>":
+        raise _expected(toks, "'|>'")
+    toks.pop()
+    return Cond(left, middle, _expr(toks, _LEVEL_BIIMP))
 
-    def parse_biimp(self) -> Term:
-        node = self.parse_imp()
-        while self.at_word("liff", "riff"):
-            op = self.advance().text
-            rhs = self.parse_imp()
-            node = _BINARY_CLASSES[op](node, rhs)
+
+def _expr(toks: list[str], min_level: int) -> Term:
+    """Operands joined by binary keywords of ``min_level`` or tighter, left-associated."""
+    left = _unary(toks)
+    level = _BINARY_LEVELS.get(toks[-1], -1)
+    while level >= min_level:
+        op = toks.pop()
+        left = _BINARY_CLASSES[op](left, _expr(toks, level + 1))
+        next_level = _BINARY_LEVELS.get(toks[-1], -1)
+        if level == next_level == _LEVEL_IMP:
+            raise _expected(toks, "parentheses (implications are non-associative)")
+        level = next_level
+    return left
+
+
+def _unary(toks: list[str]) -> Term:
+    tok = toks[-1]
+    node = _ATOM_TERMS.get(tok)
+    if node is not None:
+        toks.pop()
         return node
-
-    def parse_imp(self) -> Term:
-        node = self.parse_or()
-        if self.at_word("limp", "rimp"):
-            op = self.advance().text
-            rhs = self.parse_or()
-            node = _BINARY_CLASSES[op](node, rhs)
-            if self.at_word("limp", "rimp"):
-                raise self.error("parentheses (implications are non-associative)")
+    if tok == "(":
+        toks.pop()
+        node = _stmt(toks)
+        if toks[-1] != ")":
+            raise _expected(toks, "')'")
+        toks.pop()
         return node
+    if tok == "not":
+        toks.pop()
+        return Not(_unary(toks))
+    if tok == "T" or tok == "F":
+        toks.pop()
+        return TRUE if tok == "T" else FALSE
+    if tok in RESERVED_WORDS:
+        raise _expected(toks, "a statement")
+    if _ATOM_RE.match(tok):
+        # First occurrence of this name: ``Atom`` validates it.
+        toks.pop()
+        return AtomTerm(Atom(tok))
+    if re.match("[A-Za-z]", tok):
+        raise _ParseError(f"invalid atom name {tok!r} (atoms are lowercase)")
+    raise _expected(toks, "'T', 'F', 'not', an atom, or '('")
 
-    def parse_or(self) -> Term:
-        node = self.parse_and()
-        while self.at_word("lor", "ror"):
-            op = self.advance().text
-            node = _BINARY_CLASSES[op](node, self.parse_and())
-        return node
 
-    def parse_and(self) -> Term:
-        node = self.parse_seq()
-        while self.at_word("land", "rand"):
-            op = self.advance().text
-            node = _BINARY_CLASSES[op](node, self.parse_seq())
-        return node
+def _located(text: str, index: int | None, message: str) -> SyntaxValidationError:
+    """The error for a failure at the ``index``-th token of ``text`` (``None``: at no token).
 
-    def parse_seq(self) -> Term:
-        node = self.parse_unary()
-        while self.at_word("then"):
-            self.advance()
-            node = AndThen(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "word":
-            if tok.text == "not":
-                self.advance()
-                return Not(self.parse_unary())
-            if tok.text == "T":
-                self.advance()
-                return TRUE
-            if tok.text == "F":
-                self.advance()
-                return FALSE
-            if tok.text in RESERVED_WORDS:
-                raise self.error("a statement")
-            if re.fullmatch(r"[a-z][a-z0-9_]*", tok.text):
-                self.advance()
-                return AtomTerm(Atom(tok.text))
-            raise SyntaxValidationError(
-                f"{tok.line}:{tok.col}: invalid atom name {tok.text!r} (atoms are lowercase)"
-            )
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.parse_stmt()
-            if self.peek().kind != "rparen":
-                raise self.error("')'")
-            self.advance()
-            return node
-        raise self.error("'T', 'F', 'not', an atom, or '('")
+    A character that starts no token is reported instead, wherever it is.
+    Positions are worked out here, from the offset of the token in the text.
+    """
+    matches = list(_TOKEN_RE.finditer(text))
+    for i, m in enumerate(matches):
+        if not _VALID_TOKEN_RE.match(m.group()):
+            index, message = i, f"unexpected character {m.group()!r}"
+            break
+    if index is None:
+        return SyntaxValidationError(message)
+    offset = matches[index].start() if index < len(matches) else len(text)
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return SyntaxValidationError(f"{line}:{col}: {message}")
 
 
 def parse(text: str) -> Term:
-    """Parse concrete syntax into a sugared term."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_stmt()
-    if parser.peek().kind != "eof":
-        raise parser.error("end of input")
-    return node
+    """Parse concrete syntax into a sugared term.
+
+    Malformed input raises ``SyntaxValidationError`` with the ``line:col`` of
+    the offending token; input nested too deeply for Python's recursion
+    limit raises it too.
+    """
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")
+    toks.reverse()
+    n = len(toks)
+    try:
+        node = _stmt(toks)
+        if toks[-1]:
+            raise _expected(toks, "end of input")
+        return node
+    except _ParseError as exc:
+        error = _located(text, n - len(toks), str(exc))
+    except RecursionError:
+        error = _located(text, None, "statement nested too deeply to parse")
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -361,5 +323,3 @@ def print_term(t: Term) -> str:
     """Render a core term (alias of print_sugared; core terms are sugared terms)."""
     return _print(t, _LEVEL_COND)
 
-
-ParseFn = Callable[[str], Term]

@@ -100,19 +100,20 @@ class AtomTerm(Term):
     atom: Atom
 
     def __new__(cls, atom: Atom) -> "AtomTerm":
-        inst = _ATOM_TERMS.get(atom)
+        inst = _ATOM_TERMS.get(atom.name)
         if inst is None:
             inst = object.__new__(cls)
             _set(inst, "atom", atom)
             _set(inst, "_atoms", _intern_atoms(frozenset((atom,))))
-            _ATOM_TERMS[atom] = inst
+            _ATOM_TERMS[atom.name] = inst
         return inst
 
     def __str__(self) -> str:
         return self.atom.name
 
 
-_ATOM_TERMS: dict[Atom, AtomTerm] = {}
+# Keyed by name, so that the parser finds an atom by the string it read.
+_ATOM_TERMS: dict[str, AtomTerm] = {}
 
 
 @dataclass(frozen=True, init=False)

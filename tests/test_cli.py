@@ -168,6 +168,14 @@ def test_deep_input_is_an_error_not_a_verdict(capsys):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_statement_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "parse", "(" * 3000 + "a" + ")" * 3000)
+    assert code == 2
+    assert out == ""
+    assert "error: statement nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_memory_error_exits_4(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
