@@ -24,7 +24,6 @@ from .congruence import (
 from .errors import (
     AlphabetError,
     BudgetExceededError,
-    DecisionDefectError,
     DepthExhaustedError,
     PropalgError,
     ReservedWordError,

@@ -18,11 +18,8 @@ from . import congruence, expressive, projective, transform
 from .sat import acc as _acc_fn, sat as _sat_fn
 from .errors import BudgetExceededError, PropalgError
 from .syntax import desugar, parse, print_term
-from .terms import Term, Variety, atoms
+from .terms import MAIN_CHAIN, Term, Variety, atoms
 from .valuation import dump_valuation, evaluate, load_valuation
-
-_VARIETIES = [k.value for k in Variety]
-_CANONICAL = ["fr", "rp", "cr", "wm", "mem", "st"]
 
 
 def _variety(text: str) -> Variety:
@@ -192,19 +189,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def add_variety(p, choices=_VARIETIES):
-        p.add_argument("--variety", type=_variety, choices=[Variety(c) for c in choices], required=True)
+    def add_variety(p, choices=tuple(Variety)):
+        p.add_argument("--variety", type=_variety, choices=choices, required=True)
 
     verb("parse", _cmd_parse).add_argument("statement")
     verb("bf", _cmd_bf).add_argument("statement")
 
     p = verb("normalize", _cmd_normalize)
-    add_variety(p, _CANONICAL)
+    add_variety(p, MAIN_CHAIN)
     p.add_argument("statement")
 
     for name, fn in (("equal", _cmd_equal), ("equiv", _cmd_equiv)):
         p = verb(name, fn)
-        add_variety(p, _CANONICAL if name == "equal" else _VARIETIES)
+        add_variety(p, MAIN_CHAIN if name == "equal" else tuple(Variety))
         p.add_argument("lhs")
         p.add_argument("rhs")
 
@@ -250,13 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("search", _cmd_search)
     p.add_argument("--target", required=True, metavar="STMT")
-    add_variety(p, _CANONICAL)
+    add_variety(p, MAIN_CHAIN)
     p.add_argument("--max-2p", dest="max_2p", type=int, default=2)
     p.add_argument("--body-depth", dest="body_depth", type=int, default=2)
     p.add_argument("--result-depth", dest="result_depth", type=int, default=3)
 
     p = verb("laws", _cmd_laws)
-    add_variety(p, _CANONICAL)
+    add_variety(p, MAIN_CHAIN)
 
     return top
 

@@ -29,6 +29,7 @@ from .terms import (
     depth,
     enumerate_basic_forms,
     is_k_basic,
+    subst_atom,
 )
 
 
@@ -159,8 +160,6 @@ def _normalize_mem(t: Term) -> Term:
     if not isinstance(t, Cond):
         return t
     a = t.cond.atom  # type: ignore[union-attr]
-    from .terms import subst_atom
-
     left = _normalize_mem(basic_form(subst_atom(t.left, a, TRUE)))
     right = _normalize_mem(basic_form(subst_atom(t.right, a, FALSE)))
     return Cond(left, t.cond, right)
@@ -245,21 +244,23 @@ def equal(p: Term, q: Term, k: Variety) -> bool:
     return normalize(p, k) == normalize(q, k)
 
 
+def _compare(p: Term, q: Term, k: Variety, residuals: bool) -> str:
+    """Compare p and q over every k-table on their atoms plus a fresh one,
+    observed deep enough for both evaluations and one more query."""
+    used = atoms(p) | atoms(q)
+    alphabet = tuple(sorted(used | {_fresh_atom(used)}))
+    return compare_terms(p, q, k, alphabet, depth(p) + depth(q) + 2, residuals)
+
+
 def oracle_verdict(p: Term, q: Term, k: Variety) -> str:
     """Semantic comparison over all k-tables: 'congruent', 'value', or
     'derivative' (values agree, residuals distinguishable)."""
-    fresh = _fresh_atom(atoms(p) | atoms(q))
-    alphabet = tuple(sorted(atoms(p) | atoms(q) | {fresh}))
-    obs_depth = depth(p) + depth(q) + 2
-    return compare_terms(p, q, k, alphabet, obs_depth, residuals=True)
+    return _compare(p, q, k, residuals=True)
 
 
 def equiv_oracle(p: Term, q: Term, k: Variety) -> bool:
     """p and q evaluate equally over every k-table (K-equivalence)."""
-    fresh = _fresh_atom(atoms(p) | atoms(q))
-    alphabet = tuple(sorted(atoms(p) | atoms(q) | {fresh}))
-    obs_depth = depth(p) + depth(q) + 2
-    return compare_terms(p, q, k, alphabet, obs_depth, residuals=False) == "congruent"
+    return _compare(p, q, k, residuals=False) == "congruent"
 
 
 def congruent_oracle(p: Term, q: Term, k: Variety) -> bool:
@@ -302,8 +303,6 @@ def check_law(lhs: Term, rhs: Term, k: Variety, spot_checks: int = 20) -> bool:
         rng = random.Random(20260825)
         names = _population_names(variables)
         population = enumerate_basic_forms(names, 2)
-        from .terms import subst_atom
-
         for _ in range(spot_checks):
             inst_l, inst_r = lhs_core, rhs_core
             for v in variables:

@@ -27,11 +27,3 @@ class BudgetExceededError(PropalgError):
 
 class UnsupportedConnectiveError(PropalgError):
     """An operation received a sugared term outside its supported fragment."""
-
-
-class DecisionDefectError(PropalgError):
-    """A canonical-form decision disagreed with the semantic oracle.
-
-    This signals a defect in the decision procedures (or a falsified
-    canonicity assumption) and is never silently repaired.
-    """

@@ -159,14 +159,6 @@ def _apply(body: Term, u: Term, v: Term | None) -> Term:
     return _combine(left, v, right)
 
 
-def _apply_unary(body: Term, u: Term) -> Term:
-    return _apply(body, u, None)
-
-
-def _apply_binary(body: Term, u: Term, v: Term) -> Term:
-    return _apply(body, u, v)
-
-
 def enumerate_tc12(
     atom_names: tuple[str, ...] | frozenset[str] | set[str],
     catalog: OperatorCatalog,
@@ -207,7 +199,7 @@ def enumerate_tc12(
             for body in catalog.unary_ops:
                 tick()
                 fresh: list[Term] = []
-                admit(_apply_unary(body, u), c, fresh)
+                admit(_apply(body, u, None), c, fresh)
                 out.extend(fresh)
                 work.extend(fresh)
         return out
@@ -226,7 +218,7 @@ def enumerate_tc12(
                 for u in strata[c1]:
                     for v in strata[c - 1 - c1]:
                         tick()
-                        admit(_apply_binary(body, u, v), c, frontier)
+                        admit(_apply(body, u, v), c, frontier)
         strata.append(unary_close(frontier, c))
 
     return [CompositionTerm(t, seen[t]) for stratum in strata for t in stratum]

@@ -7,15 +7,17 @@ Pmem/Nmem families by exhaustive search over the variety's tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .congruence import normalize
+from .congruence import _classical_value, basic_form, normalize
 from .errors import UnsupportedConnectiveError
-from .oracle import ORACLE_BUDGET, materialize_table, satisfying_assignment
+from .oracle import ORACLE_BUDGET, compare_terms, materialize_table, satisfying_assignment
 from .syntax import LeftAnd, LeftOr, Not, desugar
 from .terms import (
+    MAIN_CHAIN,
     Atom,
     AtomTerm,
     Cond,
@@ -68,7 +70,9 @@ def _leaves(p: Term) -> set[bool]:
     return _leaves(p.left) | _leaves(p.right)
 
 
-_CANONICAL = (Variety.FR, Variety.RP, Variety.CR, Variety.WM, Variety.MEM, Variety.ST)
+def _search_space(p: Term) -> tuple[tuple[Atom, ...], int]:
+    """The alphabet and observable depth the table searches for p range over."""
+    return tuple(sorted(atoms(p))) or (Atom("a"),), max(1, depth(p))
 
 
 def sat(p: Term, k: Variety, witness: bool = False, budget: int = ORACLE_BUDGET) -> SatVerdict:
@@ -78,29 +82,27 @@ def sat(p: Term, k: Variety, witness: bool = False, budget: int = ORACLE_BUDGET)
     (every leaf of a k-basic form is reachable by a k-valuation); the
     Pmem/Nmem families by exhaustive search over variety tables at
     obs_depth = depth(p).  Witnesses, when requested, are found by the same
-    search and returned as explicit tables.
+    search (on the side families, the search that decided satisfiability)
+    and returned as explicit tables.
     """
-    if k in _CANONICAL:
+    if k in MAIN_CHAIN:
         leaves = _leaves(normalize(p, k))
         verdict = SatVerdict(True in leaves, False in leaves)
+        if not (witness and verdict.satisfiable):
+            return verdict
+        alphabet, d = _search_space(p)
+        assign = satisfying_assignment(p, k, alphabet, d, True, budget)
+        assert assign is not None, "a satisfiable term has a satisfying table"
     else:
-        d = max(1, depth(p))
-        alphabet = tuple(sorted(atoms(p))) or (Atom("a"),)
+        alphabet, d = _search_space(p)
+        assign = satisfying_assignment(p, k, alphabet, d, True, budget)
         verdict = SatVerdict(
-            satisfying_assignment(p, k, alphabet, d, True, budget) is not None,
+            assign is not None,
             satisfying_assignment(p, k, alphabet, d, False, budget) is not None,
         )
-    if witness and verdict.satisfiable:
-        verdict = SatVerdict(True, verdict.falsifiable, _witness_table(p, k, budget))
-    return verdict
-
-
-def _witness_table(p: Term, k: Variety, budget: int) -> ValuationTable:
-    d = max(1, depth(p))
-    alphabet = tuple(sorted(atoms(p))) or (Atom("a"),)
-    assign = satisfying_assignment(p, k, alphabet, d, True, budget)
-    assert assign is not None, "witness requested for an unsatisfiable term"
-    return materialize_table(k, alphabet, d, assign)
+        if not (witness and verdict.satisfiable):
+            return verdict
+    return SatVerdict(True, verdict.falsifiable, materialize_table(k, alphabet, d, assign))
 
 
 def pmem_reduction_holds(p: Term, budget: int = ORACLE_BUDGET) -> bool:
@@ -111,8 +113,7 @@ def pmem_reduction_holds(p: Term, budget: int = ORACLE_BUDGET) -> bool:
     copies = [p] * (n + 1)
     conj = reduce(lambda acc, t: Cond(t, acc, FalseConst()), copies[1:], copies[0])
     sat_mem = True in _leaves(normalize(p, Variety.MEM))
-    d = max(1, depth(conj))
-    alphabet = tuple(sorted(atoms(p))) or (Atom("a"),)
+    alphabet, d = _search_space(conj)
     sat_pmem = satisfying_assignment(conj, Variety.PMEM, alphabet, d, True, budget) is not None
     return sat_mem == sat_pmem
 
@@ -122,8 +123,6 @@ def crpmem_translation_holds(a: Atom, x: Term, y: Term, budget: int = ORACLE_BUD
     x <| a |> y = (a land x) lor (not a land y); dually under
     contractive negatively-memorizing valuations with the mirrored
     translation (not a land y) lor (a land x)."""
-    from .oracle import compare_terms
-
     at = AtomTerm(a)
     lhs = Cond(x, at, y)
     rhs_p = desugar(LeftOr(LeftAnd(at, x), LeftAnd(Not(at), y)))
@@ -162,15 +161,18 @@ def acc(s: Term) -> frozenset[Atom]:
 
 def st_classically_satisfiable(p: Term) -> bool:
     """Truth-table satisfiability (reference implementation for cross-checks)."""
-    import itertools
-
     alist = sorted(atoms(p))
-    from .congruence import _classical_value
-
     for bits in itertools.product((True, False), repeat=len(alist)):
         if _classical_value(p, dict(zip(alist, bits))):
             return True
     return False
+
+
+def leaf_check_matches_inductive(p: Term) -> bool:
+    """Cross-validation: inductive SAT/FAL equals the basic-form leaf check."""
+    leaves = _leaves(basic_form(p))
+    verdict = sat_fr_inductive(p)
+    return verdict.satisfiable == (True in leaves) and verdict.falsifiable == (False in leaves)
 
 
 __all__ = [
@@ -181,14 +183,5 @@ __all__ = [
     "crpmem_translation_holds",
     "acc",
     "st_classically_satisfiable",
+    "leaf_check_matches_inductive",
 ]
-
-
-# Re-exported for callers that want the identity checked rather than assumed.
-def leaf_check_matches_inductive(p: Term) -> bool:
-    """Cross-validation: inductive SAT/FAL equals the basic-form leaf check."""
-    from .congruence import basic_form
-
-    leaves = _leaves(basic_form(p))
-    verdict = sat_fr_inductive(p)
-    return verdict.satisfiable == (True in leaves) and verdict.falsifiable == (False in leaves)

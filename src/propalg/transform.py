@@ -2,8 +2,10 @@
 
 ``caching`` rewrites a basic form into an equivalent monotest form (no
 evaluation path queries an atom twice) by propagating each observed reply
-into the subtree below it.  ``re_eval`` goes the other way: it keeps the
-statement as written but restarts evaluation when a repeated query
+into the subtree below it.  Remembering every reply is what memorizing
+valuations do, so this is the mem normal form of a basic form, computed (and
+memoized) once in ``congruence``.  ``re_eval`` goes the other way: it keeps
+the statement as written but restarts evaluation when a repeated query
 contradicts a remembered reply; since restarting can loop forever, the result
 is a linear specification (a projective-limit element), not a finite term.
 """
@@ -11,8 +13,8 @@ is a linear specification (a projective-limit element), not a finite term.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
-from .congruence import basic_form
+
+from .congruence import _normalize_mem, basic_form
 from .errors import BudgetExceededError, ReservedWordError
 from .projective import CondRhs, LinearSpec, Rhs
 from .terms import (
@@ -26,7 +28,6 @@ from .terms import (
     TrueConst,
     atoms,
     is_basic,
-    subst_atom,
 )
 
 DLNI = Atom("dlni")
@@ -34,22 +35,11 @@ DLNI = Atom("dlni")
 VARIANTS = ("plain", "dlni", "dlni_subst")
 
 
-@lru_cache(maxsize=None)
 def caching(p: Term) -> Term:
-    """The monotest form obtained by remembering every reply.
-
-    Below a test of a the reply to a is known, so a is substituted away in
-    each branch; substitution breaks basic-form shape, hence the
-    re-normalization before recursing.
-    """
+    """The monotest form obtained by remembering every reply: the mem normal
+    form of the basic form p, the same object as ``normalize(p, Variety.MEM)``."""
     assert is_basic(p), "caching is defined on basic forms"
-    if isinstance(p, (TrueConst, FalseConst)):
-        return p
-    assert isinstance(p, Cond)
-    a = p.cond.atom  # type: ignore[union-attr]
-    left = caching(basic_form(subst_atom(p.left, a, TRUE)))
-    right = caching(basic_form(subst_atom(p.right, a, FALSE)))
-    return Cond(left, p.cond, right)
+    return _normalize_mem(p)
 
 
 def is_monotest(p: Term) -> bool:

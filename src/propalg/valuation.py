@@ -115,7 +115,7 @@ class EvalResult:
     trace: Sigma
 
 
-def evaluate(p: Term, h: ValuationTable, _prefix: Sigma = ()) -> EvalResult:
+def evaluate(p: Term, h: ValuationTable) -> EvalResult:
     """Evaluate a core term over a table.
 
     Implements the mutual recursion of evaluation and derivative: a

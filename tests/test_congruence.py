@@ -123,6 +123,20 @@ def test_normalizer_agrees_with_table_oracle(p, q, k):
     assert equal(p, q, k) == congruent_oracle(p, q, k)
 
 
+_small_terms = st.recursive(
+    _leaf, lambda ch: st.tuples(ch, ch, ch).map(lambda t: Cond(*t)), max_leaves=5
+)
+
+
+@given(_small_terms, _small_terms, _small_terms, st.sampled_from(list(Variety)))
+@settings(max_examples=60, deadline=None)
+def test_equivalence_oracle_is_the_verdict_without_residuals(p, q, r, k):
+    # Both oracles compare over the same tables; equivalence ignores residuals.
+    # p <| r |> p often has p's values but other residuals ('derivative').
+    for rhs in (q, Cond(p, r, p)):
+        assert equiv_oracle(p, rhs, k) == (oracle_verdict(p, rhs, k) != "value")
+
+
 # --- separating examples along the chain -----------------------------------
 
 

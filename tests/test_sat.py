@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +123,26 @@ def test_witness_tables_replay():
             assert in_variety(v.witness, k)
             assert evaluate(p, v.witness).value is True
     assert sat(core("a land not a"), Variety.MEM, witness=True).witness is None
+
+
+@pytest.mark.parametrize("k", [Variety.PMEM, Variety.NMEM])
+def test_side_family_witness_reuses_the_deciding_search(k, monkeypatch):
+    # The satisfying assignment that decides SAT is the one materialized, so
+    # each target value is searched for once.
+    sat_module = importlib.import_module("propalg.sat")
+    search = sat_module.satisfying_assignment
+    targets = []
+
+    def counted(*args):
+        targets.append(args[4])
+        return search(*args)
+
+    monkeypatch.setattr(sat_module, "satisfying_assignment", counted)
+    p = core("(a lor b) land not a")
+    v = sat(p, k, witness=True)
+    assert sorted(targets) == [False, True]
+    assert v.satisfiable and in_variety(v.witness, k)
+    assert evaluate(p, v.witness).value is True
 
 
 # --- reductions and translations -------------------------------------------

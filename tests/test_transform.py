@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propalg.congruence import basic_form, equal
+from propalg.congruence import basic_form, equal, normalize
 from propalg.errors import BudgetExceededError, ReservedWordError
 from propalg.projective import CondRhs, eval_spec, unfold_projection
 from propalg.syntax import desugar, parse
@@ -44,6 +44,14 @@ def test_caching_produces_monotest_mem_equal_forms(t):
     out = caching(basic_form(t))
     assert is_monotest(out)
     assert equal(out, t, Variety.MEM)
+    assert out is normalize(basic_form(t), Variety.MEM)
+
+
+def test_caching_rejects_non_basic_input():
+    # A conditional as central condition, and a bare atom, are not basic.
+    for t in (Cond(TRUE, Cond(AT, BT, FALSE), FALSE), AT):
+        with pytest.raises(AssertionError):
+            caching(t)
 
 
 def test_is_monotest():
