@@ -26,4 +26,6 @@ class BudgetExceededError(PropalgError):
 
 
 class UnsupportedConnectiveError(PropalgError):
-    """An operation received a sugared term outside its supported fragment."""
+    """An operation received a term outside its supported fragment: a sugared
+    connective it does not handle, or a term that is not a basic form where
+    one is required."""

@@ -32,6 +32,7 @@ enumerated tables at small depth.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Optional
 
 from .errors import BudgetExceededError, DepthExhaustedError
@@ -94,6 +95,32 @@ def _resolve(k: Variety, hist: Hist, name: str):
             return kept, None
         return None, (hist, name)
     raise ValueError(f"unsupported variety: {k}")
+
+
+def _summary(k: Variety, hist: Hist):
+    """What ``_resolve`` and ``_advance`` read of ``hist`` once every free
+    reply below it takes one default value.
+
+    Two histories with equal summaries force the same replies to every
+    query sequence; their free replies differ only in their keys, which
+    matters only where a key may be assigned.  Each case mirrors the
+    matching branch of ``_resolve``: rp and cr read the last entry, mem the
+    set of entries, pmem and nmem the entries carrying the kept reply,
+    crpmem and crnmem both of these, and the wm family the whole history.
+    ``materialize_table`` shares the default-completed subtrees on this
+    value.
+    """
+    if k == Variety.FR or k == Variety.ST:
+        return ()
+    if k == Variety.RP or k == Variety.CR:
+        return hist[-1:]
+    if k == Variety.MEM:
+        return frozenset(hist)
+    if k in (Variety.PMEM, Variety.NMEM, Variety.CR_PMEM, Variety.CR_NMEM):
+        kept = k in (Variety.PMEM, Variety.CR_PMEM)
+        marked = frozenset(entry for entry in hist if entry[1] == kept)
+        return marked if k in (Variety.PMEM, Variety.NMEM) else (hist[-1:], marked)
+    return hist
 
 
 def _advance(k: Variety, hist: Hist, name: str, value: bool, forced: bool) -> Hist:
@@ -301,29 +328,55 @@ def materialize_table(
 
     Unassigned free parameters take the default reply; forced replies follow
     the variety's laws, so the result is always a member of the variety.
+
+    The table is built as a reply tree: the node of a history holds the
+    replies to each next query and, below them, the subtrees of the
+    histories those replies lead to.  A node is *live* when its history is a
+    prefix of the history of some assigned key: only there can a reply read
+    ``assign``, so live subtrees are computed per exact history.  Below every
+    other node each free reply is the default, and the subtree is fixed by
+    ``_summary`` of its history and the remaining depth, so each distinct
+    default-completed subtree is computed once and shared (a unique table
+    over the reply tree, local to the call).  The memo key tags the region,
+    because a live history and a summary may be equal as values.  A subtree
+    is kept as one tuple of replies per level, in ``itertools.product``
+    order of the query strings below it, which is the order the levels of
+    the whole table are emitted in.
     """
     from .valuation import ValuationTable
 
-    names = tuple(a.name for a in sorted(alphabet))
-    scratch = dict(assign)
-    replies: dict = {}
+    alphabet = tuple(sorted(alphabet))
+    names = tuple(a.name for a in alphabet)
+    # Under st the replies depend on the atom alone: every node is live.
+    live = None if k == Variety.ST else {h[:i] for h, _ in assign for i in range(len(h) + 1)}
+    memo: dict = {}
 
-    def walk(hist: Hist, prefix: tuple[str, ...]) -> None:
-        if len(prefix) == depth:
-            return
+    def levels(hist: Hist, r: int) -> tuple:
+        if live is None or hist in live:
+            key = (True, hist, r)
+        else:
+            key = (False, _summary(k, hist), r)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        own = []
+        below = []
         for name in names:
-            forced, key = _resolve(k, hist, name)
-            if forced is not None:
-                v = forced
-                nxt = _advance(k, hist, name, v, True)
-            else:
-                v = scratch.setdefault(key, default)
-                nxt = _advance(k, hist, name, v, False)
-            replies[prefix + (name,)] = v
-            walk(nxt, prefix + (name,))
+            forced, fkey = _resolve(k, hist, name)
+            v = assign.get(fkey, default) if forced is None else forced
+            own.append(v)
+            if r > 1:
+                below.append(levels(_advance(k, hist, name, v, forced is not None), r - 1))
+        out = (tuple(own),) + tuple(
+            tuple(chain.from_iterable(sub[j] for sub in below)) for j in range(r - 1)
+        )
+        memo[key] = out
+        return out
 
-    walk((), ())
-    return ValuationTable(tuple(sorted(alphabet)), depth, replies)
+    replies: dict = {}
+    for n, level in enumerate(levels((), depth), 1):
+        replies.update(zip(product(names, repeat=n), level))
+    return ValuationTable(alphabet, depth, replies)
 
 
 def generate_tables(k: Variety, alphabet: tuple[Atom, ...], depth: int):

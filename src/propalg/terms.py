@@ -256,17 +256,28 @@ def atoms(t: Term) -> frozenset[Atom]:
 
 
 def subst_atom(t: Term, a: Atom, replacement: Term) -> Term:
-    """Replace every occurrence of atom ``a`` in ``t`` by ``replacement``."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return t
+    """Replace every occurrence of atom ``a`` in ``t`` by ``replacement``.
+
+    Each distinct conditional is rebuilt once per call: a shared subterm is
+    looked up in a table local to the call instead of being walked again.
+    """
+    return _subst_atom(t, a, replacement, {})
+
+
+def _subst_atom(t: Term, a: Atom, replacement: Term, done: dict[Term, Term]) -> Term:
+    if isinstance(t, Cond):
+        out = done.get(t)
+        if out is None:
+            out = done[t] = Cond(
+                _subst_atom(t.left, a, replacement, done),
+                _subst_atom(t.cond, a, replacement, done),
+                _subst_atom(t.right, a, replacement, done),
+            )
+        return out
     if isinstance(t, AtomTerm):
         return replacement if t.atom == a else t
-    if isinstance(t, Cond):
-        return Cond(
-            subst_atom(t.left, a, replacement),
-            subst_atom(t.cond, a, replacement),
-            subst_atom(t.right, a, replacement),
-        )
+    if isinstance(t, (TrueConst, FalseConst)):
+        return t
     raise TypeError(f"not a core term: {t!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 
 from .congruence import _normalize_mem, basic_form
-from .errors import BudgetExceededError, ReservedWordError
+from .errors import BudgetExceededError, ReservedWordError, UnsupportedConnectiveError
 from .projective import CondRhs, LinearSpec, Rhs
 from .terms import (
     FALSE,
@@ -35,16 +35,22 @@ DLNI = Atom("dlni")
 VARIANTS = ("plain", "dlni", "dlni_subst")
 
 
+def _require_basic(p: Term, what: str) -> None:
+    """Reject a term that is not a basic form, also under ``python -O``."""
+    if not is_basic(p):
+        raise UnsupportedConnectiveError(f"{what} is defined on basic forms")
+
+
 def caching(p: Term) -> Term:
     """The monotest form obtained by remembering every reply: the mem normal
     form of the basic form p, the same object as ``normalize(p, Variety.MEM)``."""
-    assert is_basic(p), "caching is defined on basic forms"
+    _require_basic(p, "caching")
     return _normalize_mem(p)
 
 
 def is_monotest(p: Term) -> bool:
     """True iff no root-to-leaf path tests the same atom twice."""
-    assert is_basic(p), "is_monotest is defined on basic forms"
+    _require_basic(p, "is_monotest")
 
     def walk(t: Term, seen: frozenset[Atom]) -> bool:
         if not isinstance(t, Cond):
@@ -97,7 +103,7 @@ def re_eval(p: Term, variant: str = "plain", max_states: int | None = None) -> L
 
     The start variable is the first declared one.
     """
-    assert is_basic(p), "re_eval is defined on basic forms"
+    _require_basic(p, "re_eval")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r} (expected one of {VARIANTS})")
     if variant != "plain" and DLNI in atoms(p):

@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from propalg.errors import BudgetExceededError, DepthExhaustedError
 from propalg.oracle import (
+    _advance,
+    _resolve,
     compare_terms,
     generate_tables,
     materialize_table,
@@ -21,7 +24,7 @@ from propalg.terms import (
     depth,
     enumerate_basic_forms,
 )
-from propalg.valuation import enumerate_tables, evaluate, in_variety
+from propalg.valuation import ValuationTable, enumerate_tables, evaluate, in_variety
 
 A = Atom("a")
 B = Atom("b")
@@ -130,6 +133,68 @@ def test_satisfying_assignment_none_for_unsatisfiable():
     assert satisfying_assignment(contra, Variety.MEM, (A,), 3, target=True) is None
     # The same term is satisfiable when the second reply may flip.
     assert satisfying_assignment(contra, Variety.FR, (A,), 3, target=True) is not None
+
+
+def _reference_table(k, alphabet, obs_depth, assign, default=True):
+    """Reference for ``materialize_table``: resolve the full history of
+    every query string, one string at a time, sharing nothing."""
+    names = tuple(a.name for a in sorted(alphabet))
+    scratch = dict(assign)
+    replies = {}
+
+    def walk(hist, prefix):
+        if len(prefix) == obs_depth:
+            return
+        for name in names:
+            forced, key = _resolve(k, hist, name)
+            if forced is not None:
+                v = forced
+                nxt = _advance(k, hist, name, v, True)
+            else:
+                v = scratch.setdefault(key, default)
+                nxt = _advance(k, hist, name, v, False)
+            replies[prefix + (name,)] = v
+            walk(nxt, prefix + (name,))
+
+    walk((), ())
+    return ValuationTable(tuple(sorted(alphabet)), obs_depth, replies)
+
+
+@st.composite
+def _table_requests(draw):
+    names = draw(st.sampled_from(["a", "ab", "abc"]))
+    leaf = st.sampled_from([TRUE, FALSE] + [atom(n) for n in names])
+    p = draw(
+        st.recursive(leaf, lambda ch: st.tuples(ch, ch, ch).map(lambda t: Cond(*t)), max_leaves=6)
+        .filter(lambda t: depth(t) <= 5)
+    )
+    obs_depth = draw(st.integers(max(1, depth(p)), 5))
+    return p, tuple(Atom(n) for n in names), obs_depth
+
+
+# Two cases random draws seldom reach.  "a", then "a" again (absorbed under
+# cr), then "b": the live history of the witness path after "a a" equals, as
+# a value, the summary of the default-completed node after "b a", so the
+# memo must tell the two regions apart.  "b" = F, then "a" = T under crnmem
+# with default F: the node after the path re-answers a with T by
+# contraction, while a node with the same F entries and another last entry
+# answers a with the default F, so the crnmem summary needs the last entry.
+_REPEATED_QUERY = Cond(Cond(Cond(FALSE, BT, TRUE), AT, FALSE), AT, FALSE)
+_NOT_B_THEN_A = Cond(FALSE, BT, AT)
+
+
+@given(_table_requests(), st.sampled_from(list(Variety)), st.booleans())
+@example((_REPEATED_QUERY, (A, B), 3), Variety.CR, True)
+@example((_NOT_B_THEN_A, (A, B), 4), Variety.CR_NMEM, False)
+@settings(max_examples=300, deadline=None)
+def test_materialize_table_matches_the_reference_walk(request, k, default):
+    p, alphabet, obs_depth = request
+    found = [satisfying_assignment(p, k, alphabet, obs_depth, target) for target in (True, False)]
+    for assign in [a for a in found if a is not None] + [{}]:
+        before = dict(assign)
+        h = materialize_table(k, alphabet, obs_depth, assign, default)
+        assert assign == before
+        assert h == _reference_table(k, alphabet, obs_depth, assign, default)
 
 
 def test_materialized_tables_respect_the_variety():

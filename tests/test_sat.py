@@ -126,6 +126,18 @@ def test_witness_tables_replay():
 
 
 @pytest.mark.parametrize("k", [Variety.PMEM, Variety.NMEM])
+def test_depth7_witness_over_three_atoms(k):
+    # The heaviest witness class the benchmark asks for: a 3279-string table.
+    p = core("(a lor (b land c)) land ((not a lor b) land (c lor not b))")
+    assert depth(p) == 7 and len(atoms(p)) == 3
+    v = sat(p, k, witness=True)
+    assert v.satisfiable and v.witness.obs_depth == 7
+    assert len(v.witness.replies) == 3 + 3**2 + 3**3 + 3**4 + 3**5 + 3**6 + 3**7
+    assert in_variety(v.witness, k)
+    assert evaluate(p, v.witness).value is True
+
+
+@pytest.mark.parametrize("k", [Variety.PMEM, Variety.NMEM])
 def test_side_family_witness_reuses_the_deciding_search(k, monkeypatch):
     # The satisfying assignment that decides SAT is the one materialized, so
     # each target value is searched for once.

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propalg
 from propalg.congruence import basic_form, equal, normalize
-from propalg.errors import BudgetExceededError, ReservedWordError
+from propalg.errors import BudgetExceededError, ReservedWordError, UnsupportedConnectiveError
 from propalg.projective import CondRhs, eval_spec, unfold_projection
 from propalg.syntax import desugar, parse
 from propalg.terms import FALSE, TRUE, Atom, Cond, Variety, atom, atoms
@@ -47,11 +53,49 @@ def test_caching_produces_monotest_mem_equal_forms(t):
     assert out is normalize(basic_form(t), Variety.MEM)
 
 
+# A conditional as central condition, and a bare atom, are not basic.
+_NON_BASIC = (Cond(TRUE, Cond(AT, BT, FALSE), FALSE), AT)
+
+
 def test_caching_rejects_non_basic_input():
-    # A conditional as central condition, and a bare atom, are not basic.
-    for t in (Cond(TRUE, Cond(AT, BT, FALSE), FALSE), AT):
-        with pytest.raises(AssertionError):
+    for t in _NON_BASIC:
+        with pytest.raises(UnsupportedConnectiveError, match="caching"):
             caching(t)
+
+
+@pytest.mark.parametrize("fn", [is_monotest, re_eval])
+def test_basic_form_transforms_reject_non_basic_input(fn):
+    for t in _NON_BASIC:
+        with pytest.raises(UnsupportedConnectiveError, match=fn.__name__):
+            fn(t)
+
+
+def test_non_basic_input_is_rejected_under_optimize():
+    # The precondition is a typed error, not an assert that -O strips.
+    script = textwrap.dedent(
+        """
+        from propalg.errors import UnsupportedConnectiveError
+        from propalg.terms import FALSE, TRUE, Cond, atom
+        from propalg.transform import caching, is_monotest, re_eval
+
+        for fn in (caching, is_monotest, re_eval):
+            for t in (Cond(TRUE, Cond(atom("a"), atom("b"), FALSE), FALSE), atom("a")):
+                try:
+                    fn(t)
+                except UnsupportedConnectiveError:
+                    continue
+                raise SystemExit(f"{fn.__name__} accepted {t}")
+        assert False, "asserts are stripped"
+        print("rejected")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(propalg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "rejected\n", "")
 
 
 def test_is_monotest():
@@ -133,7 +177,7 @@ def test_re_eval_rejects_reserved_atom():
 def test_re_eval_validates_inputs():
     with pytest.raises(ValueError):
         re_eval(bf("a"), variant="bogus")
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnsupportedConnectiveError):
         re_eval(desugar(parse("a land a")))  # not a basic form
 
 
