@@ -35,6 +35,7 @@ from .expressive import (
     OperatorCatalog,
     enumerate_tc12,
     f_simplify,
+    iter_tc12,
     mem_definability_check,
     phi_abc,
     search_equivalent,

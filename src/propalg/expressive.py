@@ -15,7 +15,7 @@ corroborate the general theorems, they do not prove them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from functools import lru_cache
 
@@ -32,7 +32,6 @@ from .terms import (
     TrueConst,
     Variety,
     atoms,
-    depth,
     enumerate_basic_forms,
 )
 
@@ -159,6 +158,114 @@ def _apply(body: Term, u: Term, v: Term | None) -> Term:
     return _combine(left, v, right)
 
 
+# Longest path to a T leaf and to an F leaf; _NO_LEAF when a term has none.
+_NO_LEAF = float("-inf")
+_CONST_PATHS = {TRUE: (0, _NO_LEAF), FALSE: (_NO_LEAF, 0)}
+
+
+def _apply_paths(body: Term, pu: tuple, pv: tuple | None, memo: dict) -> tuple:
+    """Leaf paths of ``_apply(body, u, v)`` from the leaf paths of u and v.
+
+    ``_combine(p, q, r)`` puts p at the T leaves of q and r at its F leaves,
+    so a path of the result runs through q to a leaf and on through p or r.
+    The depth of a basic form is the larger of its two paths, so the depth
+    of a composition is known exactly before it is built.
+    """
+    if not isinstance(body, Cond):
+        return _CONST_PATHS[body]
+    key = (body, pu, pv)
+    out = memo.get(key)
+    if out is None:
+        lt, lf = _apply_paths(body.left, pu, pv, memo)
+        rt, rf = _apply_paths(body.right, pu, pv, memo)
+        qt, qf = pu if body.cond.atom == X else pv  # type: ignore[union-attr,misc]
+        out = memo[key] = (max(qt + lt, qf + rt), max(qt + lf, qf + rf))
+    return out
+
+
+def iter_tc12(
+    atom_names: tuple[str, ...] | frozenset[str] | set[str],
+    catalog: OperatorCatalog,
+    max_2p: int,
+    result_depth: int = 3,
+    budget: int = SEARCH_BUDGET,
+) -> Iterator[CompositionTerm]:
+    """Yield the closed catalog compositions with at most max_2p binary
+    applications, each when it is admitted.
+
+    Stratum c holds the compositions first reached with c binary
+    applications: first those whose outermost operator is binary, in the
+    order (body, stratum of u, u, v), then the unary-closure additions in
+    work order.  A result is admitted when its fr-canonical form is new and
+    its canonical depth is at most result_depth; the depth cap is part of the
+    reported bounds of any absence verdict derived from the output.
+
+    The depth of a result is computed from the leaf paths of its operands
+    (``_apply_paths``) before it is built, and results that would be too deep
+    are never built.  The gate is exact, so the output is that of building
+    every result and discarding the deep ones.  Every (body, operands) pair
+    counts one step, gated or not; a step beyond ``budget`` raises
+    ``BudgetExceededError`` after everything admitted before it was yielded.
+    """
+    paths: dict[Term, tuple] = {}  # admitted terms -> their leaf paths
+    memo: dict = {}  # _apply_paths results of this call
+    strata: list[list[Term]] = []
+    steps = 0
+    for c in range(max_2p + 1):
+        stratum: list[Term] = []
+        if c == 0:
+            base = [(TRUE, _CONST_PATHS[TRUE]), (FALSE, _CONST_PATHS[FALSE])]
+            base += [(Cond(TRUE, AtomTerm(Atom(n)), FALSE), (1, 1)) for n in sorted(atom_names)]
+            for t, tp in base:
+                if max(tp) <= result_depth and t not in paths:
+                    paths[t] = tp
+                    stratum.append(t)
+                    yield CompositionTerm(t, 0)
+        for body in catalog.binary_ops:
+            for c1 in range(c):
+                us, vs = strata[c1], strata[c - 1 - c1]
+                v_paths = [paths[v] for v in vs]
+                v_groups = set(v_paths)
+                rows: dict[tuple, list[int]] = {}  # leaf paths of u -> indices of the v it admits
+                for u in us:
+                    pu = paths[u]
+                    row = rows.get(pu)
+                    if row is None:
+                        fits = {
+                            pv for pv in v_groups if max(_apply_paths(body, pu, pv, memo)) <= result_depth
+                        }
+                        row = rows[pu] = [j for j, pv in enumerate(v_paths) if pv in fits]
+                    allowed = budget - steps
+                    steps += len(vs)
+                    for j in row:
+                        if j >= allowed:
+                            break
+                        t = _apply(body, u, vs[j])
+                        if t not in paths:
+                            paths[t] = _apply_paths(body, pu, v_paths[j], memo)
+                            stratum.append(t)
+                            yield CompositionTerm(t, c)
+                    if steps > budget:
+                        raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
+        i = 0
+        while i < len(stratum):  # the unary closure, in work order
+            u = stratum[i]
+            i += 1
+            for body in catalog.unary_ops:
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
+                tp = _apply_paths(body, paths[u], None, memo)
+                if max(tp) > result_depth:
+                    continue
+                t = _apply(body, u, None)
+                if t not in paths:
+                    paths[t] = tp
+                    stratum.append(t)
+                    yield CompositionTerm(t, c)
+        strata.append(stratum)
+
+
 def enumerate_tc12(
     atom_names: tuple[str, ...] | frozenset[str] | set[str],
     catalog: OperatorCatalog,
@@ -166,62 +273,14 @@ def enumerate_tc12(
     result_depth: int = 3,
     budget: int = SEARCH_BUDGET,
 ) -> list[CompositionTerm]:
-    """All closed catalog compositions with at most max_2p binary applications.
+    """All of ``iter_tc12``, in its order.
 
-    Deduplicated modulo fr-canonical form (keeping the least two_place_count),
-    retaining only results whose canonical depth stays within result_depth;
-    deterministic order.  The depth cap is part of the reported bounds of any
-    absence verdict derived from the output.
+    Deduplicated modulo fr-canonical form, each term with the least
+    two_place_count that reaches it, and only results whose canonical depth
+    stays within result_depth.  Raises ``BudgetExceededError`` when the
+    enumeration needs more than ``budget`` steps.
     """
-    names = sorted(atom_names)
-    steps = 0
-
-    def tick() -> None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
-
-    seen: dict[Term, int] = {}
-    strata: list[list[Term]] = []
-
-    def admit(t: Term, c: int, fresh: list[Term]) -> None:
-        if depth(t) > result_depth or t in seen:
-            return
-        seen[t] = c
-        fresh.append(t)
-
-    def unary_close(frontier: list[Term], c: int) -> list[Term]:
-        out = list(frontier)
-        work = list(frontier)
-        while work:
-            u = work.pop(0)
-            for body in catalog.unary_ops:
-                tick()
-                fresh: list[Term] = []
-                admit(_apply(body, u, None), c, fresh)
-                out.extend(fresh)
-                work.extend(fresh)
-        return out
-
-    base: list[Term] = []
-    for t in (TRUE, FALSE, *(Cond(TRUE, AtomTerm(Atom(n)), FALSE) for n in names)):
-        fresh: list[Term] = []
-        admit(t, 0, fresh)
-        base.extend(fresh)
-    strata.append(unary_close(base, 0))
-
-    for c in range(1, max_2p + 1):
-        frontier: list[Term] = []
-        for body in catalog.binary_ops:
-            for c1 in range(c):
-                for u in strata[c1]:
-                    for v in strata[c - 1 - c1]:
-                        tick()
-                        admit(_apply(body, u, v), c, frontier)
-        strata.append(unary_close(frontier, c))
-
-    return [CompositionTerm(t, seen[t]) for stratum in strata for t in stratum]
+    return list(iter_tc12(atom_names, catalog, max_2p, result_depth, budget))
 
 
 def search_equivalent(
@@ -236,11 +295,16 @@ def search_equivalent(
     """First enumerated composition k-equal to the target, or None.
 
     The enumeration order is fixed, so identical inputs yield the identical
-    witness.  The target is normalized once; st compares through ``equal``,
-    whose canonical forms range over the atoms of both sides.
+    witness.  The candidates are streamed from ``iter_tc12`` and the search
+    stops at the first match, so only the steps before the witness count
+    against ``budget``: a witness found within it is returned, and
+    ``BudgetExceededError`` is raised only when the budget runs out first
+    (always the case for a miss whose enumeration needs more steps).  The
+    target is normalized once; st compares through ``equal``, whose
+    canonical forms range over the atoms of both sides.
     """
     goal = None if k == Variety.ST else normalize(target, k)
-    for cand in enumerate_tc12(atom_names, catalog, max_2p, result_depth, budget):
+    for cand in iter_tc12(atom_names, catalog, max_2p, result_depth, budget):
         if goal is None:
             if equal(cand.term, target, k):
                 return cand
@@ -272,6 +336,7 @@ __all__ = [
     "t_simplify",
     "f_simplify",
     "phi_abc",
+    "iter_tc12",
     "enumerate_tc12",
     "search_equivalent",
     "mem_definability_check",

@@ -317,6 +317,41 @@ def satisfying_assignment(
     return ctx.witness if found else None
 
 
+def _levels(
+    k: Variety,
+    names: tuple[str, ...],
+    live: Optional[set],
+    assign: dict,
+    default: bool,
+    memo: dict,
+    hist: Hist,
+    r: int,
+) -> tuple:
+    """The reply levels of the subtree of ``materialize_table`` below
+    ``hist``, ``r`` levels deep; ``memo`` is local to one table."""
+    if live is None or hist in live:
+        key = (True, hist, r)
+    else:
+        key = (False, _summary(k, hist), r)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    own = []
+    below = []
+    for name in names:
+        forced, fkey = _resolve(k, hist, name)
+        v = assign.get(fkey, default) if forced is None else forced
+        own.append(v)
+        if r > 1:
+            nxt = _advance(k, hist, name, v, forced is not None)
+            below.append(_levels(k, names, live, assign, default, memo, nxt, r - 1))
+    out = (tuple(own),) + tuple(
+        tuple(chain.from_iterable(sub[j] for sub in below)) for j in range(r - 1)
+    )
+    memo[key] = out
+    return out
+
+
 def materialize_table(
     k: Variety,
     alphabet: tuple[Atom, ...],
@@ -349,32 +384,8 @@ def materialize_table(
     names = tuple(a.name for a in alphabet)
     # Under st the replies depend on the atom alone: every node is live.
     live = None if k == Variety.ST else {h[:i] for h, _ in assign for i in range(len(h) + 1)}
-    memo: dict = {}
-
-    def levels(hist: Hist, r: int) -> tuple:
-        if live is None or hist in live:
-            key = (True, hist, r)
-        else:
-            key = (False, _summary(k, hist), r)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        own = []
-        below = []
-        for name in names:
-            forced, fkey = _resolve(k, hist, name)
-            v = assign.get(fkey, default) if forced is None else forced
-            own.append(v)
-            if r > 1:
-                below.append(levels(_advance(k, hist, name, v, forced is not None), r - 1))
-        out = (tuple(own),) + tuple(
-            tuple(chain.from_iterable(sub[j] for sub in below)) for j in range(r - 1)
-        )
-        memo[key] = out
-        return out
-
     replies: dict = {}
-    for n, level in enumerate(levels((), depth), 1):
+    for n, level in enumerate(_levels(k, names, live, assign, default, {}, (), depth), 1):
         replies.update(zip(product(names, repeat=n), level))
     return ValuationTable(alphabet, depth, replies)
 

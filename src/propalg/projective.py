@@ -145,6 +145,34 @@ BUILTIN_SPECS: dict[str, Callable[[], IndexedSpec]] = {"@primes": primes_spec}
 UNFOLD_BUDGET = 10**6
 
 
+def _unfold(lookup, budget: int, memo: dict[tuple, Term], v, m: int) -> Term:
+    """The depth-m projection of variable v; ``memo`` is local to one
+    ``unfold_projection`` call and counts against ``budget``."""
+    key = (v, m)
+    if key in memo:
+        return memo[key]
+    if len(memo) >= budget:
+        raise BudgetExceededError(f"unfolding budget {budget} exhausted")
+    rhs = lookup(v)
+    if isinstance(rhs, (TrueConst, FalseConst)):
+        out: Term = rhs
+    else:
+        if isinstance(rhs, CondRhs):
+            then_ref, atm, else_ref = rhs.then_var, rhs.atom, rhs.else_var
+        else:
+            then_ref, atm, else_ref = rhs
+        if m == 1:
+            out = Cond(TRUE, AtomTerm(atm), FALSE)
+        else:
+            out = Cond(
+                _unfold(lookup, budget, memo, then_ref, m - 1),
+                AtomTerm(atm),
+                _unfold(lookup, budget, memo, else_ref, m - 1),
+            )
+    memo[key] = out
+    return out
+
+
 def unfold_projection(
     spec: Union[LinearSpec, IndexedSpec],
     var: Union[str, int],
@@ -164,30 +192,7 @@ def unfold_projection(
         lookup = spec.equations.__getitem__
     else:
         lookup = spec.rule
-    memo: dict[tuple, Term] = {}
-
-    def pi(v, m: int) -> Term:
-        key = (v, m)
-        if key in memo:
-            return memo[key]
-        if len(memo) >= budget:
-            raise BudgetExceededError(f"unfolding budget {budget} exhausted")
-        rhs = lookup(v)
-        if isinstance(rhs, (TrueConst, FalseConst)):
-            out: Term = rhs
-        else:
-            if isinstance(rhs, CondRhs):
-                then_ref, atm, else_ref = rhs.then_var, rhs.atom, rhs.else_var
-            else:
-                then_ref, atm, else_ref = rhs
-            if m == 1:
-                out = Cond(TRUE, AtomTerm(atm), FALSE)
-            else:
-                out = Cond(pi(then_ref, m - 1), AtomTerm(atm), pi(else_ref, m - 1))
-        memo[key] = out
-        return out
-
-    out = pi(var, n)
+    out = _unfold(lookup, budget, {}, var, n)
     assert depth(out) <= n, "unfolding exceeded its projection level"
     return out
 

@@ -1,3 +1,6 @@
+from functools import partial
+
+from propalg import expressive
 from propalg.cli import main
 from propalg.terms import Variety
 from propalg.valuation import in_variety, load_valuation
@@ -120,7 +123,7 @@ def test_transform_re_eval(capsys):
     assert any("dlni" in line for line in lines[1:])
 
 
-def test_search(capsys):
+def test_search(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         "search", "--variety", "fr", "--target", "not (not a)",
@@ -136,6 +139,25 @@ def test_search(capsys):
     )
     assert code == 1
     assert "found: false" in out
+    # Under a small budget an early witness is still found (exit 0) and a
+    # miss exhausts the budget (exit 3), not reported as "not found".
+    small_budget = partial(expressive.search_equivalent, budget=20)
+    monkeypatch.setattr(expressive, "search_equivalent", small_budget)
+    code, out, _ = run(
+        capsys,
+        "search", "--variety", "fr", "--target", "not a",
+        "--max-2p", "1", "--body-depth", "1", "--result-depth", "2",
+    )
+    assert code == 0
+    assert "found: true" in out
+    code, out, err = run(
+        capsys,
+        "search", "--variety", "fr", "--target", "a <| b |> c",
+        "--max-2p", "1", "--body-depth", "1", "--result-depth", "2",
+    )
+    assert code == 3
+    assert "found:" not in out
+    assert "budget 20 exhausted" in err
 
 
 def test_laws(capsys):

@@ -1,18 +1,23 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propalg.congruence import basic_form, equal
 from propalg.errors import BudgetExceededError
 from propalg.expressive import (
+    CompositionTerm,
     OperatorCatalog,
+    _apply,
+    _apply_paths,
     enumerate_tc12,
     f_simplify,
+    iter_tc12,
     mem_definability_check,
     phi_abc,
     search_equivalent,
     t_simplify,
 )
 from propalg.syntax import desugar, parse
-from propalg.terms import TRUE, Atom, Variety, is_basic
+from propalg.terms import FALSE, TRUE, Atom, AtomTerm, Cond, TrueConst, Variety, depth, is_basic
 
 A = Atom("a")
 B = Atom("b")
@@ -84,9 +89,154 @@ def test_enumerate_tc12_contains_the_expected_compositions():
     assert by_term[core("a lor a")] == 1
 
 
+def _reference_closure(atom_names, catalog, max_2p, result_depth=3, budget=10**8, stamps=None):
+    """Reference for the closure: the eager enumeration that builds every
+    composition and then drops the deep ones, scanned afterwards.  When
+    given, ``stamps`` receives the step count at which each term was kept."""
+    names = sorted(atom_names)
+    steps = 0
+
+    def tick():
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
+
+    seen = {}
+    strata = []
+
+    def admit(t, c, fresh):
+        if depth(t) > result_depth or t in seen:
+            return
+        seen[t] = c
+        fresh.append(t)
+        if stamps is not None:
+            stamps[t] = steps
+
+    def unary_close(frontier, c):
+        out = list(frontier)
+        work = list(frontier)
+        while work:
+            u = work.pop(0)
+            for body in catalog.unary_ops:
+                tick()
+                fresh = []
+                admit(_apply(body, u, None), c, fresh)
+                out.extend(fresh)
+                work.extend(fresh)
+        return out
+
+    base = []
+    for t in (TRUE, FALSE, *(Cond(TRUE, AtomTerm(Atom(n)), FALSE) for n in names)):
+        fresh = []
+        admit(t, 0, fresh)
+        base.extend(fresh)
+    strata.append(unary_close(base, 0))
+
+    for c in range(1, max_2p + 1):
+        frontier = []
+        for body in catalog.binary_ops:
+            for c1 in range(c):
+                for u in strata[c1]:
+                    for v in strata[c - 1 - c1]:
+                        tick()
+                        admit(_apply(body, u, v), c, frontier)
+        strata.append(unary_close(frontier, c))
+
+    return [CompositionTerm(t, seen[t]) for stratum in strata for t in stratum]
+
+
+CATALOGS = {
+    "negation_or": OperatorCatalog.negation_or(),
+    "negation_and_or": OperatorCatalog.negation_and_or(),
+    "full1": OperatorCatalog.full(1),
+}
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("catalog", sorted(CATALOGS))
+def test_closure_matches_the_eager_reference(catalog, n_atoms):
+    names = ("a", "b", "c")[:n_atoms]
+    for max_2p in range(4):
+        for result_depth in (2, 3, 4):
+            got = enumerate_tc12(names, CATALOGS[catalog], max_2p, result_depth)
+            assert got == _reference_closure(names, CATALOGS[catalog], max_2p, result_depth)
+
+
 def test_enumerate_tc12_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_tc12(("a", "b"), OperatorCatalog.negation_or(), 2, budget=10)
+
+
+def test_the_stream_yields_what_the_budget_allows():
+    # A stream under a budget yields exactly the compositions kept within
+    # that many steps, then raises; the reference exhausts it too.
+    catalog = OperatorCatalog.negation_and_or()
+    stamps = {}
+    full = _reference_closure(("a", "b"), catalog, 2, stamps=stamps)
+    for budget in sorted({b for s in stamps.values() for b in (s - 1, s) if b >= 0}):
+        got = []
+        with pytest.raises(BudgetExceededError):
+            for ct in iter_tc12(("a", "b"), catalog, 2, budget=budget):
+                got.append(ct)
+        assert got == [ct for ct in full if stamps[ct.term] <= budget]
+        with pytest.raises(BudgetExceededError):
+            _reference_closure(("a", "b"), catalog, 2, budget=budget)
+
+
+# --- the depth gate --------------------------------------------------------
+
+
+NO_LEAF = float("-inf")
+
+
+def _walk_paths(t):
+    """Longest paths to a T leaf and to an F leaf of basic t, by a plain walk."""
+    if isinstance(t, Cond):
+        lt, lf = _walk_paths(t.left)
+        rt, rf = _walk_paths(t.right)
+        return 1 + max(lt, rt), 1 + max(lf, rf)
+    return (0, NO_LEAF) if isinstance(t, TrueConst) else (NO_LEAF, 0)
+
+
+def _basic_terms(max_depth):
+    leaves = st.sampled_from([TRUE, FALSE])
+    if max_depth == 0:
+        return leaves
+    sub = _basic_terms(max_depth - 1)
+    atom = st.sampled_from([AtomTerm(A), AtomTerm(B), AtomTerm(C)])
+    return leaves | st.builds(Cond, sub, atom, sub)
+
+
+FULL2 = OperatorCatalog.full(2)
+BODIES = [(b, True) for b in FULL2.binary_ops]
+BODIES += [(b, False) for b in FULL2.unary_ops + CATALOGS["full1"].unary_ops]
+
+
+def _check_gate(body, u, v):
+    built = _apply(body, u, v)
+    got = _apply_paths(body, _walk_paths(u), None if v is None else _walk_paths(v), {})
+    assert got == _walk_paths(built)
+    assert max(got) == depth(built)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BODIES), _basic_terms(3), _basic_terms(3))
+def test_gate_is_the_leaf_paths_of_the_built_composition(body_kind, u, v):
+    body, binary = body_kind
+    _check_gate(body, u, v if binary else None)
+
+
+def test_gate_covers_terms_without_a_t_or_an_f_leaf():
+    neg = OperatorCatalog.negation_or().unary_ops[0]
+    left_or = OperatorCatalog.negation_or().binary_ops[0]
+    no_t = Cond(FALSE, AtomTerm(A), FALSE)
+    no_f = Cond(TRUE, AtomTerm(B), TRUE)
+    for u in (no_t, no_f, TRUE, FALSE):
+        _check_gate(neg, u, None)
+        for v in (no_t, no_f, TRUE, FALSE, core("a")):
+            _check_gate(left_or, u, v)
+            _check_gate(left_or, v, u)
 
 
 # --- searches --------------------------------------------------------------
@@ -110,6 +260,34 @@ def test_search_determinism_and_absence():
         desugar(parse("a <| b |> c")), Variety.FR, ("a", "b", "c"), catalog, 1, result_depth=2
     )
     assert missing is None
+
+
+SEARCH_TARGETS = [
+    "T", "a", "not b", "a lor b", "not (a land b)", "a <| b |> c", "(a land b) lor c", "b then a",
+]
+
+
+@pytest.mark.parametrize("k", [Variety.FR, Variety.WM, Variety.MEM, Variety.ST])
+def test_search_returns_the_first_matching_reference_candidate(k):
+    catalog = OperatorCatalog.negation_and_or()
+    names = ("a", "b", "c")
+    reference = _reference_closure(names, catalog, 2)
+    for text in SEARCH_TARGETS:
+        target = desugar(parse(text))
+        first = next((c for c in reference if equal(c.term, target, k)), None)
+        assert search_equivalent(target, k, names, catalog, 2) == first
+
+
+def test_search_budget_counts_only_the_steps_before_the_witness():
+    catalog = OperatorCatalog.negation_or()
+    # "not a" is admitted on the third unary step of stratum 0.
+    hit = search_equivalent(core("not a"), Variety.FR, ("a", "b"), catalog, 2, budget=10)
+    assert hit == CompositionTerm(core("not a"), 0)
+    # A miss needs the whole enumeration, which the budget does not cover.
+    miss = core("b <| a |> (not b)")
+    assert search_equivalent(miss, Variety.FR, ("a", "b"), catalog, 2) is None
+    with pytest.raises(BudgetExceededError):
+        search_equivalent(miss, Variety.FR, ("a", "b"), catalog, 2, budget=10)
 
 
 def test_mem_definability():

@@ -1,5 +1,6 @@
 """The lazy table oracle, cross-validated against explicit enumeration."""
 
+import gc
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from propalg.oracle import (
     materialize_table,
     satisfying_assignment,
 )
+from propalg.projective import load_spec, primes_spec, unfold_projection
 from propalg.terms import (
     FALSE,
     TRUE,
@@ -204,6 +206,23 @@ def test_materialized_tables_respect_the_variety():
 
 
 # --- resource guards -------------------------------------------------------
+
+
+def test_tables_and_unfoldings_leave_no_cyclic_garbage():
+    p = Cond(Cond(FALSE, AT, TRUE), BT, AT)
+    linear = load_spec("X1 = X3 <| a |> X2\nX2 = b then X1\nX3 = T\n")
+    gc.collect()
+    gc.disable()
+    try:
+        for k in (Variety.FR, Variety.CR, Variety.MEM, Variety.ST, Variety.PMEM, Variety.CR_NMEM):
+            assign = satisfying_assignment(p, k, (A, B), 4, target=True)
+            materialize_table(k, (A, B), 4, assign)
+        for n in (1, 5, 9):
+            unfold_projection(primes_spec(), 1, n)
+            unfold_projection(linear, "X1", n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_exhaustion_raises():
