@@ -25,6 +25,7 @@ from .errors import (
     AlphabetError,
     BudgetExceededError,
     DepthExhaustedError,
+    NestingDepthError,
     PropalgError,
     ReservedWordError,
     SyntaxValidationError,

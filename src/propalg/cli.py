@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import congruence, expressive, projective, transform
 from .sat import acc as _acc_fn, sat as _sat_fn
-from .errors import BudgetExceededError, PropalgError
+from .errors import BudgetExceededError, NestingDepthError, PropalgError
 from .syntax import desugar, parse, print_term
 from .terms import MAIN_CHAIN, Term, Variety, atoms
 from .valuation import dump_valuation, evaluate, load_valuation
@@ -269,12 +269,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (NestingDepthError, RecursionError, MemoryError) as exc:
+        print(f"error: input too deeply nested or too large ({type(exc).__name__})", file=sys.stderr)
+        return 4
     except (PropalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
-        print(f"error: input too deeply nested or too large ({type(exc).__name__})", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

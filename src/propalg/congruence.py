@@ -224,16 +224,18 @@ def normalize(t: Term, k: Variety, atom_list: list[Atom] | None = None) -> Term:
     return out
 
 
+def _size(x: Term) -> int:
+    """The number of nodes of ``x`` as a tree (shared subterms counted per
+    occurrence)."""
+    if isinstance(x, Cond):
+        return 1 + _size(x.left) + _size(x.cond) + _size(x.right)
+    return 1
+
+
 def normalization_report(t: Term, k: Variety) -> NormalizationReport:
     """Normalize and report the node count difference as a step estimate."""
-
-    def size(x: Term) -> int:
-        if isinstance(x, Cond):
-            return 1 + size(x.left) + size(x.cond) + size(x.right)
-        return 1
-
     out = normalize(t, k)
-    return NormalizationReport(t, k, out, abs(size(out) - size(t)))
+    return NormalizationReport(t, k, out, abs(_size(out) - _size(t)))
 
 
 def equal(p: Term, q: Term, k: Variety) -> bool:

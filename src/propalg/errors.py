@@ -29,3 +29,8 @@ class UnsupportedConnectiveError(PropalgError):
     """An operation received a term outside its supported fragment: a sugared
     connective it does not handle, or a term that is not a basic form where
     one is required."""
+
+
+class NestingDepthError(PropalgError):
+    """A term nests too deeply for a recursive walk over it: Python's
+    recursion limit ran out before the walk finished."""

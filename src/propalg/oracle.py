@@ -28,6 +28,13 @@ The state transition rules per variety:
 Correctness of these rules against the string-level variety constraints is
 cross-validated in the test suite by exhaustive comparison with explicitly
 enumerated tables at small depth.
+
+``compare_terms`` decides value equality and residual equality in one DFS:
+a value mismatch ends the walk, and the first residual mismatch is only
+recorded (a later value mismatch still decides), after which the walk checks
+values alone.  The oracle is the independent check of the canonical forms in
+``congruence``, so it reads no normal form.  The walks are recursive; a term
+nested too deeply for Python's recursion limit raises ``NestingDepthError``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Optional
 
-from .errors import BudgetExceededError, DepthExhaustedError
+from .errors import BudgetExceededError, DepthExhaustedError, NestingDepthError
 from .terms import Atom, AtomTerm, Cond, FalseConst, Term, TrueConst, Variety
 
 Hist = tuple[tuple[str, bool], ...]
@@ -185,19 +192,32 @@ def _query(ctx: _Ctx, hist: Hist, name: str, n: int, forall: bool, cont) -> bool
 
 
 def _eval(ctx: _Ctx, t: Term, hist: Hist, n: int, forall: bool, cont) -> bool:
+    if isinstance(t, Cond):
+
+        def after_cond(v: bool, h: Hist, m: int, _t=t) -> bool:
+            return _eval(ctx, _t.left if v else _t.right, h, m, forall, cont)
+
+        c = t.cond
+        if isinstance(c, AtomTerm):
+            # The common case (every node of a basic form): query directly.
+            return _query(ctx, hist, c.atom.name, n, forall, after_cond)
+        return _eval(ctx, c, hist, n, forall, after_cond)
     if isinstance(t, TrueConst):
         return cont(True, hist, n)
     if isinstance(t, FalseConst):
         return cont(False, hist, n)
     if isinstance(t, AtomTerm):
         return _query(ctx, hist, t.atom.name, n, forall, cont)
-    if isinstance(t, Cond):
-
-        def after_cond(v: bool, h: Hist, m: int, _t=t) -> bool:
-            return _eval(ctx, _t.left if v else _t.right, h, m, forall, cont)
-
-        return _eval(ctx, t.cond, hist, n, forall, after_cond)
     raise TypeError(f"not a core term: {t!r}")
+
+
+def _walk(ctx: _Ctx, t: Term, forall: bool, cont) -> bool:
+    """``_eval`` of ``t`` from the empty history, with Python's recursion
+    limit reported as ``NestingDepthError``."""
+    try:
+        return _eval(ctx, t, (), 0, forall, cont)
+    except RecursionError:
+        raise NestingDepthError("term nested too deeply for the oracle's recursive walk") from None
 
 
 def _determined(ctx: _Ctx, hist: Hist, name: str):
@@ -267,29 +287,34 @@ def compare_terms(
     the evaluation traces) agree for every table; ``"value"`` when some table
     gives different values; ``"derivative"`` when values always agree but some
     table leaves distinguishable residuals.
+
+    One DFS over the tables decides all three.  A value mismatch at a leaf
+    ends it with ``"value"``.  With ``residuals``, leaves also compare the
+    two residual states until the first leaf where they differ; that
+    mismatch is recorded and the DFS goes on checking values only, since a
+    later value mismatch still makes the verdict ``"value"``.  The DFS
+    visits the same scenarios in the same order either way, so the verdict
+    is that of a value pass followed by a residual pass.  The step budget
+    bounds this one pass.
     """
     names = tuple(a.name for a in alphabet)
+    ctx = _Ctx(k, names, depth, budget)
+    mismatch = False  # a leaf with equal values left distinguishable residuals
 
-    def run(check_residuals: bool) -> bool:
-        ctx = _Ctx(k, names, depth, budget)
+    def after_p(v1: bool, h1: Hist, n1: int) -> bool:
+        def leaf(v2: bool, h2: Hist, n2: int) -> bool:
+            nonlocal mismatch
+            if v1 != v2:
+                return False
+            if residuals and not mismatch and not _residuals_eq(ctx, h1, h2, ctx.depth - max(n1, n2)):
+                mismatch = True
+            return True
 
-        def after_p(v1: bool, h1: Hist, n1: int) -> bool:
-            def leaf(v2: bool, h2: Hist, n2: int) -> bool:
-                if v1 != v2:
-                    return False
-                if not check_residuals:
-                    return True
-                return _residuals_eq(ctx, h1, h2, ctx.depth - max(n1, n2))
+        return _eval(ctx, q, (), 0, True, leaf)
 
-            return _eval(ctx, q, (), 0, True, leaf)
-
-        return _eval(ctx, p, (), 0, True, after_p)
-
-    if not run(False):
+    if not _walk(ctx, p, True, after_p):
         return "value"
-    if residuals and not run(True):
-        return "derivative"
-    return "congruent"
+    return "derivative" if mismatch else "congruent"
 
 
 def satisfying_assignment(
@@ -313,7 +338,7 @@ def satisfying_assignment(
             return True
         return False
 
-    found = _eval(ctx, p, (), 0, False, leaf)
+    found = _walk(ctx, p, False, leaf)
     return ctx.witness if found else None
 
 
@@ -390,43 +415,45 @@ def materialize_table(
     return ValuationTable(alphabet, depth, replies)
 
 
+def _first_unassigned_key(
+    k: Variety, names: tuple[str, ...], depth: int, assign: dict, hist: Hist, n: int
+):
+    """The first free key below ``hist`` (``n`` queries deep) that
+    ``assign`` leaves unassigned, in DFS order, or None."""
+    if n == depth:
+        return None
+    for name in names:
+        forced, key = _resolve(k, hist, name)
+        if forced is not None:
+            nxt = _advance(k, hist, name, forced, True)
+        elif key not in assign:
+            return key
+        else:
+            nxt = _advance(k, hist, name, assign[key], False)
+        missing = _first_unassigned_key(k, names, depth, assign, nxt, n + 1)
+        if missing is not None:
+            return missing
+    return None
+
+
+def _completions(
+    k: Variety, alphabet: tuple[Atom, ...], names: tuple[str, ...], depth: int, assign: dict
+):
+    """Yield the table of every completion of ``assign``, T replies first."""
+    missing = _first_unassigned_key(k, names, depth, assign, (), 0)
+    if missing is None:
+        yield materialize_table(k, alphabet, depth, assign)
+        return
+    for v in (True, False):
+        assign[missing] = v
+        yield from _completions(k, alphabet, names, depth, assign)
+        del assign[missing]
+
+
 def generate_tables(k: Variety, alphabet: tuple[Atom, ...], depth: int):
     """Yield every distinct variety table at the given depth via the state model.
 
     Exponential; intended for small cross-validation sweeps in tests.
     """
     names = tuple(a.name for a in sorted(alphabet))
-
-    def first_unassigned_key(assign: dict):
-        # Walk the full tree and return the first unassigned free key, if any.
-        def walk(hist: Hist, prefix: tuple[str, ...]):
-            if len(prefix) == depth:
-                return None
-            for name in names:
-                forced, key = _resolve(k, hist, name)
-                if forced is not None:
-                    v = forced
-                    nxt = _advance(k, hist, name, v, True)
-                else:
-                    if key not in assign:
-                        return key
-                    v = assign[key]
-                    nxt = _advance(k, hist, name, v, False)
-                missing = walk(nxt, prefix + (name,))
-                if missing is not None:
-                    return missing
-            return None
-
-        return walk((), ())
-
-    def rec(assign: dict):
-        missing = first_unassigned_key(assign)
-        if missing is None:
-            yield materialize_table(k, alphabet, depth, assign)
-            return
-        for v in (True, False):
-            assign[missing] = v
-            yield from rec(assign)
-            del assign[missing]
-
-    yield from rec({})
+    yield from _completions(k, alphabet, names, depth, {})

@@ -51,16 +51,17 @@ def caching(p: Term) -> Term:
 def is_monotest(p: Term) -> bool:
     """True iff no root-to-leaf path tests the same atom twice."""
     _require_basic(p, "is_monotest")
+    return _monotest_below(p, frozenset())
 
-    def walk(t: Term, seen: frozenset[Atom]) -> bool:
-        if not isinstance(t, Cond):
-            return True
-        a = t.cond.atom  # type: ignore[union-attr]
-        if a in seen:
-            return False
-        return walk(t.left, seen | {a}) and walk(t.right, seen | {a})
 
-    return walk(p, frozenset())
+def _monotest_below(t: Term, seen: frozenset[Atom]) -> bool:
+    """No path of the basic form ``t`` tests an atom twice or one in ``seen``."""
+    if not isinstance(t, Cond):
+        return True
+    a = t.cond.atom  # type: ignore[union-attr]
+    if a in seen:
+        return False
+    return _monotest_below(t.left, seen | {a}) and _monotest_below(t.right, seen | {a})
 
 
 def subst_sets(t: Term, v: frozenset[Atom] | set[Atom], w: frozenset[Atom] | set[Atom]) -> Term:

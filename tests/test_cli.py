@@ -190,6 +190,17 @@ def test_deep_input_is_an_error_not_a_verdict(capsys):
     assert "Traceback" not in err
 
 
+def test_statement_too_deep_for_the_oracle_exits_4(capsys):
+    statement = "a"
+    for _ in range(200):
+        statement = f"T <| ({statement}) |> F"
+    code, out, err = run(capsys, "equiv", "--variety", "mem", statement, statement)
+    assert code == 4
+    assert out == ""
+    assert "error: input too deeply nested or too large (NestingDepthError)" in err
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_statement_is_a_parse_error(capsys):
     code, out, err = run(capsys, "parse", "(" * 3000 + "a" + ")" * 3000)
     assert code == 2

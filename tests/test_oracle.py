@@ -6,26 +6,42 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propalg.errors import BudgetExceededError, DepthExhaustedError
+from propalg.congruence import (
+    basic_form,
+    congruent_oracle,
+    equal,
+    equiv_oracle,
+    normalization_report,
+    normalize,
+)
+from propalg.errors import BudgetExceededError, DepthExhaustedError, NestingDepthError
 from propalg.oracle import (
+    ORACLE_BUDGET,
     _advance,
+    _Ctx,
+    _eval,
     _resolve,
+    _residuals_eq,
     compare_terms,
     generate_tables,
     materialize_table,
     satisfying_assignment,
 )
 from propalg.projective import load_spec, primes_spec, unfold_projection
+from propalg.sat import sat
+from propalg.syntax import desugar, parse
 from propalg.terms import (
     FALSE,
     TRUE,
     Atom,
     Cond,
     Variety,
+    MAIN_CHAIN,
     atom,
     depth,
     enumerate_basic_forms,
 )
+from propalg.transform import is_monotest
 from propalg.valuation import ValuationTable, enumerate_tables, evaluate, in_variety
 
 A = Atom("a")
@@ -115,6 +131,123 @@ def test_compare_terms_three_way_verdicts():
     assert compare_terms(TRUE, a_then_t, Variety.FR, (A,), 3, residuals=True) == "derivative"
     # Statically the state never advances, so the pair is fully congruent.
     assert compare_terms(TRUE, a_then_t, Variety.ST, (A,), 3, residuals=True) == "congruent"
+
+
+def _reference_compare(p, q, k, alphabet, obs_depth, residuals, budget=ORACLE_BUDGET, passes=None):
+    """Reference for ``compare_terms``: a full value pass, then, when it
+    passes and residuals are asked for, a second full pass that also checks
+    residuals.  Each pass has its own step budget.  The context of each pass
+    is appended to ``passes`` when it is given, for its step count."""
+    names = tuple(a.name for a in alphabet)
+
+    def run(check_residuals):
+        ctx = _Ctx(k, names, obs_depth, budget)
+        if passes is not None:
+            passes.append(ctx)
+
+        def after_p(v1, h1, n1):
+            def leaf(v2, h2, n2):
+                if v1 != v2:
+                    return False
+                if not check_residuals:
+                    return True
+                return _residuals_eq(ctx, h1, h2, ctx.depth - max(n1, n2))
+
+            return _eval(ctx, q, (), 0, True, leaf)
+
+        return _eval(ctx, p, (), 0, True, after_p)
+
+    if not run(False):
+        return "value"
+    if residuals and not run(True):
+        return "derivative"
+    return "congruent"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DepthExhaustedError:
+        return DepthExhaustedError
+
+
+@st.composite
+def _compare_requests(draw):
+    names = draw(st.sampled_from(["a", "ab", "abc"]))
+    atoms_ = [atom(n) for n in names]
+    leaf = st.sampled_from([TRUE, FALSE] + atoms_)
+    terms = st.recursive(
+        leaf, lambda ch: st.tuples(ch, ch, ch).map(lambda t: Cond(*t)), max_leaves=5
+    ).filter(lambda t: depth(t) <= 3)
+    p = draw(terms)
+    # p, then one more query whose reply is dropped: the same values, and
+    # residuals that differ unless the variety absorbs the query.
+    p_then = st.sampled_from(atoms_).map(lambda r: Cond(Cond(TRUE, r, TRUE), p, Cond(FALSE, r, FALSE)))
+    q = draw(
+        st.one_of(
+            terms,
+            st.just(p),
+            st.just(basic_form(p)),
+            st.sampled_from(atoms_).map(lambda r: Cond(p, r, p)),
+            terms.map(lambda r: Cond(p, r, p)),
+            p_then,
+            p_then,
+        )
+    )
+    # From one query short of the deeper evaluation to two beyond it.
+    longest = max(depth(p), depth(q))
+    obs_depth = draw(st.integers(max(1, longest - 1), min(6, longest + 2)))
+    return p, q, tuple(Atom(n) for n in names), obs_depth
+
+
+_A_THEN_T = Cond(TRUE, AT, TRUE)
+# Under fr the DFS first takes a = T: both sides give T, but the right side
+# has also asked b, so the residuals differ; with a = F the values differ.
+_RESIDUAL_THEN_VALUE = (AT, Cond(Cond(TRUE, BT, TRUE), AT, TRUE))
+
+
+@given(_compare_requests(), st.sampled_from(list(Variety)))
+@example((AT, BT, (A, B), 3), Variety.FR)  # value
+@example((AT, Cond(AT, AT, AT), (A,), 3), Variety.CR)  # congruent
+@example((AT, Cond(AT, AT, AT), (A, B), 3), Variety.RP)  # residuals only
+@example((TRUE, _A_THEN_T, (A,), 3), Variety.FR)  # residuals only
+@example((*_RESIDUAL_THEN_VALUE, (A, B), 3), Variety.FR)  # value, after a residual mismatch
+@example((Cond(BT, AT, BT), TRUE, (A, B), 1), Variety.FR)  # depth exhausted
+@settings(max_examples=400, deadline=None)
+def test_compare_terms_matches_the_two_pass_reference(request, k):
+    p, q, alphabet, obs_depth = request
+    for residuals in (False, True):
+        expected = _outcome(_reference_compare, p, q, k, alphabet, obs_depth, residuals)
+        assert _outcome(compare_terms, p, q, k, alphabet, obs_depth, residuals) == expected
+
+
+def test_compare_terms_verdicts_on_the_fixed_pairs():
+    assert compare_terms(AT, Cond(AT, AT, AT), Variety.RP, (A, B), 3, True) == "derivative"
+    assert compare_terms(TRUE, _A_THEN_T, Variety.FR, (A,), 3, True) == "derivative"
+    assert compare_terms(*_RESIDUAL_THEN_VALUE, Variety.FR, (A, B), 3, True) == "value"
+
+
+@pytest.mark.parametrize("k", [Variety.FR, Variety.MEM])
+def test_a_congruent_pair_takes_the_steps_of_one_pass(k, monkeypatch):
+    p = desugar(parse("(a land b) lor (not a land c)"))
+    q = basic_form(p) if k == Variety.FR else normalize(p, k)
+    args = (p, q, k, (A, B, Atom("c")), depth(p) + depth(q) + 2, True)
+    passes = []
+    assert _reference_compare(*args, passes=passes) == "congruent"
+    value_pass, residual_pass = (ctx.steps for ctx in passes)
+    assert 0 < value_pass <= residual_pass
+    ticks = []
+    tick = _Ctx.tick
+    monkeypatch.setattr(_Ctx, "tick", lambda ctx: ticks.append(None) or tick(ctx))
+    assert compare_terms(*args) == "congruent"
+    monkeypatch.undo()
+    # One pass: the reference's residual pass, without the value pass.
+    assert len(ticks) == residual_pass
+    # Budgets count per pass in both, so the smallest budget that answers is
+    # the same as the reference's.
+    assert compare_terms(*args, budget=residual_pass) == "congruent"
+    with pytest.raises(BudgetExceededError):
+        compare_terms(*args, budget=residual_pass - 1)
 
 
 # --- witnesses -------------------------------------------------------------
@@ -217,12 +350,40 @@ def test_tables_and_unfoldings_leave_no_cyclic_garbage():
         for k in (Variety.FR, Variety.CR, Variety.MEM, Variety.ST, Variety.PMEM, Variety.CR_NMEM):
             assign = satisfying_assignment(p, k, (A, B), 4, target=True)
             materialize_table(k, (A, B), 4, assign)
+            assert len(list(generate_tables(k, (A, B), 2))) > 1
         for n in (1, 5, 9):
             unfold_projection(primes_spec(), 1, n)
             unfold_projection(linear, "X1", n)
+        for k in MAIN_CHAIN:
+            normalization_report(p, k)
+        assert is_monotest(Cond(TRUE, AT, Cond(FALSE, BT, TRUE)))
+        assert not is_monotest(Cond(Cond(TRUE, AT, FALSE), AT, FALSE))
+        verdicts = {
+            compare_terms(x, y, k, (A, B), 5, residuals=True)
+            for x, y, k in ((p, p, Variety.FR), (p, AT, Variety.FR), (AT, Cond(AT, AT, AT), Variety.RP))
+        }
+        assert verdicts == {"congruent", "value", "derivative"}
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _nested_in_condition(n):
+    t = AT
+    for _ in range(n):
+        t = Cond(TRUE, t, FALSE)
+    return t
+
+
+def test_deeply_nested_input_is_a_typed_error():
+    t = _nested_in_condition(200)
+    assert equal(t, t, Variety.MEM)
+    with pytest.raises(NestingDepthError):
+        congruent_oracle(t, t, Variety.MEM)
+    with pytest.raises(NestingDepthError):
+        equiv_oracle(t, t, Variety.FR)
+    with pytest.raises(NestingDepthError):
+        sat(_nested_in_condition(400), Variety.PMEM)
 
 
 def test_budget_exhaustion_raises():
