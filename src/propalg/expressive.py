@@ -14,10 +14,11 @@ corroborate the general theorems, they do not prove them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from functools import lru_cache
+from itertools import takewhile
 
 from .congruence import _combine, basic_form, equal, normalize
 from .errors import BudgetExceededError
@@ -183,6 +184,130 @@ def _apply_paths(body: Term, pu: tuple, pv: tuple | None, memo: dict) -> tuple:
     return out
 
 
+# The most completed closures _CLOSURES keeps.
+CLOSURE_SLOTS = 8
+
+
+@dataclass
+class _Closure:
+    """A closure stream that ran to its end.
+
+    ``terms`` are the admitted compositions in stream order, ``stamps`` the
+    budget step at which each was admitted (nondecreasing), and ``steps``
+    the steps of the whole stream.  ``index`` maps a variety to a table
+    from k-normal form to the position of the first composition with that
+    form; it covers the first ``scanned[k]`` compositions and is extended
+    only as far as a search reads, so no search normalizes more
+    compositions than the stream under its budget would.
+    """
+
+    terms: list[CompositionTerm]
+    stamps: list[int]
+    steps: int
+    index: dict[Variety, dict[Term, int]] = field(default_factory=dict)
+    scanned: dict[Variety, int] = field(default_factory=dict)
+
+
+_CLOSURES: dict[tuple, _Closure] = {}  # keyed by _closure_key, oldest first
+
+
+def _keep(key: tuple, closure: _Closure) -> None:
+    if key not in _CLOSURES and len(_CLOSURES) >= CLOSURE_SLOTS:
+        del _CLOSURES[next(iter(_CLOSURES))]
+    _CLOSURES[key] = closure
+
+
+def _closure_key(atom_names, catalog: OperatorCatalog, max_2p: int, result_depth: int) -> tuple:
+    """The closure is a function of these four values alone."""
+    return tuple(sorted(set(atom_names))), catalog, max_2p, result_depth
+
+
+def _exhausted(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"catalog closure budget {budget} exhausted")
+
+
+def _stream(key: tuple, budget: int) -> Iterator[CompositionTerm]:
+    """The closure of ``key``, computed; stored when it runs to its end."""
+    names, catalog, max_2p, result_depth = key
+    paths: dict[Term, tuple] = {}  # admitted terms -> their leaf paths
+    memo: dict = {}  # _apply_paths results of this call
+    strata: list[list[Term]] = []
+    admitted: list[CompositionTerm] = []
+    stamps: list[int] = []
+    steps = 0
+    for c in range(max_2p + 1):
+        stratum: list[Term] = []
+        if c == 0:
+            base = [(TRUE, _CONST_PATHS[TRUE]), (FALSE, _CONST_PATHS[FALSE])]
+            base += [(Cond(TRUE, AtomTerm(Atom(n)), FALSE), (1, 1)) for n in names]
+            for t, tp in base:
+                if max(tp) <= result_depth and t not in paths:
+                    paths[t] = tp
+                    stratum.append(t)
+                    admitted.append(CompositionTerm(t, 0))
+                    stamps.append(0)
+                    yield admitted[-1]
+        for body in catalog.binary_ops:
+            for c1 in range(c):
+                us, vs = strata[c1], strata[c - 1 - c1]
+                v_paths = [paths[v] for v in vs]
+                v_groups = set(v_paths)
+                rows: dict[tuple, list[int]] = {}  # leaf paths of u -> indices of the v it admits
+                for u in us:
+                    pu = paths[u]
+                    row = rows.get(pu)
+                    if row is None:
+                        fits = {
+                            pv for pv in v_groups if max(_apply_paths(body, pu, pv, memo)) <= result_depth
+                        }
+                        row = rows[pu] = [j for j, pv in enumerate(v_paths) if pv in fits]
+                    start = steps  # the pair (u, vs[j]) is step start + j + 1
+                    steps += len(vs)
+                    for j in row:
+                        if start + j >= budget:
+                            break
+                        t = _apply(body, u, vs[j])
+                        if t not in paths:
+                            paths[t] = _apply_paths(body, pu, v_paths[j], memo)
+                            stratum.append(t)
+                            admitted.append(CompositionTerm(t, c))
+                            stamps.append(start + j + 1)
+                            yield admitted[-1]
+                    if steps > budget:
+                        raise _exhausted(budget)
+        i = 0
+        while i < len(stratum):  # the unary closure, in work order
+            u = stratum[i]
+            i += 1
+            for body in catalog.unary_ops:
+                steps += 1
+                if steps > budget:
+                    raise _exhausted(budget)
+                tp = _apply_paths(body, paths[u], None, memo)
+                if max(tp) > result_depth:
+                    continue
+                t = _apply(body, u, None)
+                if t not in paths:
+                    paths[t] = tp
+                    stratum.append(t)
+                    admitted.append(CompositionTerm(t, c))
+                    stamps.append(steps)
+                    yield admitted[-1]
+        strata.append(stratum)
+    _keep(key, _Closure(admitted, stamps, steps))
+
+
+def _replay(closure: _Closure, budget: int) -> Iterator[CompositionTerm]:
+    """What ``_stream`` yields and raises under ``budget``, read from a
+    stored closure: a budget only cuts the stream short."""
+    for ct, stamp in zip(closure.terms, closure.stamps):
+        if stamp > budget:
+            break
+        yield ct
+    if closure.steps > budget:
+        raise _exhausted(budget)
+
+
 def iter_tc12(
     atom_names: tuple[str, ...] | frozenset[str] | set[str],
     catalog: OperatorCatalog,
@@ -206,64 +331,17 @@ def iter_tc12(
     every result and discarding the deep ones.  Every (body, operands) pair
     counts one step, gated or not; a step beyond ``budget`` raises
     ``BudgetExceededError`` after everything admitted before it was yielded.
+
+    A stream that runs to its end is kept, with the step at which each
+    composition was admitted, in a store of at most ``CLOSURE_SLOTS``
+    closures (the oldest is dropped first).  A stored closure is replayed
+    instead of computed, with the same output and the same budget verdict.
     """
-    paths: dict[Term, tuple] = {}  # admitted terms -> their leaf paths
-    memo: dict = {}  # _apply_paths results of this call
-    strata: list[list[Term]] = []
-    steps = 0
-    for c in range(max_2p + 1):
-        stratum: list[Term] = []
-        if c == 0:
-            base = [(TRUE, _CONST_PATHS[TRUE]), (FALSE, _CONST_PATHS[FALSE])]
-            base += [(Cond(TRUE, AtomTerm(Atom(n)), FALSE), (1, 1)) for n in sorted(atom_names)]
-            for t, tp in base:
-                if max(tp) <= result_depth and t not in paths:
-                    paths[t] = tp
-                    stratum.append(t)
-                    yield CompositionTerm(t, 0)
-        for body in catalog.binary_ops:
-            for c1 in range(c):
-                us, vs = strata[c1], strata[c - 1 - c1]
-                v_paths = [paths[v] for v in vs]
-                v_groups = set(v_paths)
-                rows: dict[tuple, list[int]] = {}  # leaf paths of u -> indices of the v it admits
-                for u in us:
-                    pu = paths[u]
-                    row = rows.get(pu)
-                    if row is None:
-                        fits = {
-                            pv for pv in v_groups if max(_apply_paths(body, pu, pv, memo)) <= result_depth
-                        }
-                        row = rows[pu] = [j for j, pv in enumerate(v_paths) if pv in fits]
-                    allowed = budget - steps
-                    steps += len(vs)
-                    for j in row:
-                        if j >= allowed:
-                            break
-                        t = _apply(body, u, vs[j])
-                        if t not in paths:
-                            paths[t] = _apply_paths(body, pu, v_paths[j], memo)
-                            stratum.append(t)
-                            yield CompositionTerm(t, c)
-                    if steps > budget:
-                        raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
-        i = 0
-        while i < len(stratum):  # the unary closure, in work order
-            u = stratum[i]
-            i += 1
-            for body in catalog.unary_ops:
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceededError(f"catalog closure budget {budget} exhausted")
-                tp = _apply_paths(body, paths[u], None, memo)
-                if max(tp) > result_depth:
-                    continue
-                t = _apply(body, u, None)
-                if t not in paths:
-                    paths[t] = tp
-                    stratum.append(t)
-                    yield CompositionTerm(t, c)
-        strata.append(stratum)
+    key = _closure_key(atom_names, catalog, max_2p, result_depth)
+    closure = _CLOSURES.get(key)
+    if closure is None:
+        return _stream(key, budget)
+    return _replay(closure, budget)
 
 
 def enumerate_tc12(
@@ -283,6 +361,29 @@ def enumerate_tc12(
     return list(iter_tc12(atom_names, catalog, max_2p, result_depth, budget))
 
 
+def _form(t: Term, k: Variety, universe: list[Atom] | None) -> Term:
+    """The k-normal form of a composition (already fr-canonical)."""
+    return t if k == Variety.FR else normalize(t, k, universe)
+
+
+def _find(closure: _Closure, k: Variety, universe: list[Atom] | None, goal: Term, budget: int) -> Optional[int]:
+    """The position of the first composition whose k-normal form is goal,
+    or None if there is none within ``budget``."""
+    index = closure.index.setdefault(k, {})
+    i = index.get(goal)
+    if i is not None:
+        return i
+    for j in range(closure.scanned.get(k, 0), len(closure.terms)):
+        if closure.stamps[j] > budget:
+            break
+        closure.scanned[k] = j + 1
+        form = _form(closure.terms[j].term, k, universe)
+        index.setdefault(form, j)
+        if form is goal:
+            return j
+    return None
+
+
 def search_equivalent(
     target: Term,
     k: Variety,
@@ -295,21 +396,37 @@ def search_equivalent(
     """First enumerated composition k-equal to the target, or None.
 
     The enumeration order is fixed, so identical inputs yield the identical
-    witness.  The candidates are streamed from ``iter_tc12`` and the search
-    stops at the first match, so only the steps before the witness count
-    against ``budget``: a witness found within it is returned, and
-    ``BudgetExceededError`` is raised only when the budget runs out first
-    (always the case for a miss whose enumeration needs more steps).  The
-    target is normalized once; st compares through ``equal``, whose
-    canonical forms range over the atoms of both sides.
+    witness.  Only the steps before the witness count against ``budget``:
+    a witness found within it is returned, and ``BudgetExceededError`` is
+    raised only when the budget runs out first (always the case for a miss
+    whose enumeration needs more steps).
+
+    The target is normalized once.  Under st the forms range over the
+    catalog atoms and the target's: st-equality over any superset of the
+    atoms of both sides is ``equal``.  On a closure not yet stored the
+    candidates are streamed and the search stops at the first match; on a
+    stored one it is a lookup in the closure's index for k, extended as far
+    as the first match when the form is not yet in it (a scan when an st
+    target has atoms outside ``atom_names``).
     """
-    goal = None if k == Variety.ST else normalize(target, k)
-    for cand in iter_tc12(atom_names, catalog, max_2p, result_depth, budget):
-        if goal is None:
-            if equal(cand.term, target, k):
+    key = _closure_key(atom_names, catalog, max_2p, result_depth)
+    universe = sorted({Atom(n) for n in key[0]} | atoms(target)) if k == Variety.ST else None
+    goal = normalize(target, k, universe)
+    closure = _CLOSURES.get(key)
+    if closure is None:
+        for cand in _stream(key, budget):
+            if _form(cand.term, k, universe) is goal:
                 return cand
-        elif (cand.term if k == Variety.FR else normalize(cand.term, k)) is goal:
-            return cand
+        return None
+    if universe is None or len(universe) == len(key[0]):
+        i = _find(closure, k, universe, goal, budget)
+    else:
+        within = takewhile(lambda j: closure.stamps[j] <= budget, range(len(closure.terms)))
+        i = next((j for j in within if _form(closure.terms[j].term, k, universe) is goal), None)
+    if i is not None and closure.stamps[i] <= budget:
+        return closure.terms[i]
+    if closure.steps > budget:
+        raise _exhausted(budget)
     return None
 
 

@@ -342,6 +342,36 @@ def satisfying_assignment(
     return ctx.witness if found else None
 
 
+def sat_fal_search(
+    p: Term,
+    k: Variety,
+    alphabet: tuple[Atom, ...],
+    depth: int,
+    budget: int = ORACLE_BUDGET,
+) -> tuple[Optional[dict], bool]:
+    """``satisfying_assignment`` for T, and whether some assignment gives F.
+
+    One DFS in the order of ``satisfying_assignment`` keeps the first T
+    witness and stops once it has seen both values.  It visits what the two
+    single-target searches visit together, so its steps are the larger of
+    theirs and ``budget`` runs out on the same inputs.
+    """
+    names = tuple(a.name for a in alphabet)
+    ctx = _Ctx(k, names, depth, budget)
+    falsifiable = False
+
+    def leaf(v: bool, h: Hist, n: int) -> bool:
+        nonlocal falsifiable
+        if not v:
+            falsifiable = True
+        elif ctx.witness is None:
+            ctx.witness = dict(ctx.assign)
+        return falsifiable and ctx.witness is not None
+
+    _walk(ctx, p, False, leaf)
+    return ctx.witness, falsifiable
+
+
 def _levels(
     k: Variety,
     names: tuple[str, ...],

@@ -14,7 +14,13 @@ from typing import Optional
 
 from .congruence import _classical_value, basic_form, normalize
 from .errors import UnsupportedConnectiveError
-from .oracle import ORACLE_BUDGET, compare_terms, materialize_table, satisfying_assignment
+from .oracle import (
+    ORACLE_BUDGET,
+    compare_terms,
+    materialize_table,
+    sat_fal_search,
+    satisfying_assignment,
+)
 from .syntax import LeftAnd, LeftOr, Not, desugar
 from .terms import (
     MAIN_CHAIN,
@@ -62,12 +68,22 @@ def sat_fr_inductive(p: Term) -> SatVerdict:
 
 
 def _leaves(p: Term) -> set[bool]:
-    if isinstance(p, TrueConst):
-        return {True}
-    if isinstance(p, FalseConst):
-        return {False}
-    assert isinstance(p, Cond)
-    return _leaves(p.left) | _leaves(p.right)
+    """The leaf values of a basic form.  Each distinct node is visited once
+    (normal forms share subterms), and the walk stops once it has seen
+    both values."""
+    found: set[bool] = set()
+    seen: set[Term] = set()
+    stack = [p]
+    while stack and len(found) < 2:
+        t = stack.pop()
+        if isinstance(t, Cond):
+            if t not in seen:
+                seen.add(t)
+                stack += (t.right, t.left)
+        else:
+            assert isinstance(t, (TrueConst, FalseConst))
+            found.add(isinstance(t, TrueConst))
+    return found
 
 
 def _search_space(p: Term) -> tuple[tuple[Atom, ...], int]:
@@ -95,11 +111,8 @@ def sat(p: Term, k: Variety, witness: bool = False, budget: int = ORACLE_BUDGET)
         assert assign is not None, "a satisfiable term has a satisfying table"
     else:
         alphabet, d = _search_space(p)
-        assign = satisfying_assignment(p, k, alphabet, d, True, budget)
-        verdict = SatVerdict(
-            assign is not None,
-            satisfying_assignment(p, k, alphabet, d, False, budget) is not None,
-        )
+        assign, falsifiable = sat_fal_search(p, k, alphabet, d, budget)
+        verdict = SatVerdict(assign is not None, falsifiable)
         if not (witness and verdict.satisfiable):
             return verdict
     return SatVerdict(True, verdict.falsifiable, materialize_table(k, alphabet, d, assign))

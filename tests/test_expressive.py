@@ -4,10 +4,14 @@ from hypothesis import given, settings, strategies as st
 from propalg.congruence import basic_form, equal
 from propalg.errors import BudgetExceededError
 from propalg.expressive import (
+    CLOSURE_SLOTS,
+    SEARCH_BUDGET,
+    _CLOSURES,
     CompositionTerm,
     OperatorCatalog,
     _apply,
     _apply_paths,
+    _closure_key,
     enumerate_tc12,
     f_simplify,
     iter_tc12,
@@ -17,7 +21,7 @@ from propalg.expressive import (
     t_simplify,
 )
 from propalg.syntax import desugar, parse
-from propalg.terms import FALSE, TRUE, Atom, AtomTerm, Cond, TrueConst, Variety, depth, is_basic
+from propalg.terms import FALSE, MAIN_CHAIN, TRUE, Atom, AtomTerm, Cond, TrueConst, Variety, depth, is_basic
 
 A = Atom("a")
 B = Atom("b")
@@ -159,8 +163,14 @@ def test_closure_matches_the_eager_reference(catalog, n_atoms):
     names = ("a", "b", "c")[:n_atoms]
     for max_2p in range(4):
         for result_depth in (2, 3, 4):
-            got = enumerate_tc12(names, CATALOGS[catalog], max_2p, result_depth)
-            assert got == _reference_closure(names, CATALOGS[catalog], max_2p, result_depth)
+            args = (names, CATALOGS[catalog], max_2p, result_depth)
+            reference = _reference_closure(*args)
+            _CLOSURES.clear()
+            assert enumerate_tc12(*args) == reference
+            # The completed stream was stored; the next ones replay it.
+            assert _closure_key(*args) in _CLOSURES
+            assert enumerate_tc12(*args) == reference
+            assert list(iter_tc12(*args)) == reference
 
 
 def test_enumerate_tc12_budget():
@@ -170,16 +180,24 @@ def test_enumerate_tc12_budget():
 
 def test_the_stream_yields_what_the_budget_allows():
     # A stream under a budget yields exactly the compositions kept within
-    # that many steps, then raises; the reference exhausts it too.
+    # that many steps, then raises; the reference exhausts it too.  A
+    # stored closure replays the same.
     catalog = OperatorCatalog.negation_and_or()
     stamps = {}
     full = _reference_closure(("a", "b"), catalog, 2, stamps=stamps)
-    for budget in sorted({b for s in stamps.values() for b in (s - 1, s) if b >= 0}):
-        got = []
-        with pytest.raises(BudgetExceededError):
-            for ct in iter_tc12(("a", "b"), catalog, 2, budget=budget):
-                got.append(ct)
-        assert got == [ct for ct in full if stamps[ct.term] <= budget]
+    budgets = sorted({b for s in stamps.values() for b in (s - 1, s) if b >= 0})
+    for stored in (False, True):
+        _CLOSURES.clear()
+        if stored:
+            enumerate_tc12(("a", "b"), catalog, 2)
+        for budget in budgets:
+            got = []
+            with pytest.raises(BudgetExceededError):
+                for ct in iter_tc12(("a", "b"), catalog, 2, budget=budget):
+                    got.append(ct)
+            assert got == [ct for ct in full if stamps[ct.term] <= budget]
+            assert bool(_CLOSURES) == stored
+    for budget in budgets:
         with pytest.raises(BudgetExceededError):
             _reference_closure(("a", "b"), catalog, 2, budget=budget)
 
@@ -288,6 +306,91 @@ def test_search_budget_counts_only_the_steps_before_the_witness():
     assert search_equivalent(miss, Variety.FR, ("a", "b"), catalog, 2) is None
     with pytest.raises(BudgetExceededError):
         search_equivalent(miss, Variety.FR, ("a", "b"), catalog, 2, budget=10)
+
+
+# --- the closure store ------------------------------------------------------
+
+
+STORE_TARGETS = [
+    "T", "not a", "a lor b", "not (a land b)", "b then a", "a <| b |> c", "(a land b) lor c",
+    "a land (c lor not c)",
+]
+
+
+def _outcome(target, k, args, budget):
+    try:
+        return search_equivalent(target, k, *args, budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("catalog", sorted(CATALOGS))
+def test_stored_closure_answers_as_the_stream(catalog):
+    # Cold (nothing stored) and warm (the completed closure stored) searches
+    # give the same witness, the same None and the same budget error, on
+    # budgets around the witness's step and the closure's end.  Under st,
+    # targets with c searched over {a, b} take the scan, and the last target
+    # is st-equal to a.
+    targets = [desugar(parse(text)) for text in STORE_TARGETS]
+    for names in (("a", "b"), ("a", "b", "c")):
+        for max_2p in range(4):
+            for result_depth in (2, 3):
+                args = (names, CATALOGS[catalog], max_2p, result_depth)
+                key = _closure_key(*args)
+                _CLOSURES.clear()
+                enumerate_tc12(*args)
+                closure = _CLOSURES[key]
+                for target in targets:
+                    for k in MAIN_CHAIN:
+                        edges = {0, closure.steps - 1, closure.steps, SEARCH_BUDGET}
+                        w = search_equivalent(target, k, *args)
+                        if w is not None:
+                            s = closure.stamps[closure.terms.index(w)]
+                            edges |= {s - 1, s}
+                        for budget in sorted(b for b in edges if b >= 0):
+                            _CLOSURES.clear()
+                            cold = _outcome(target, k, args, budget)
+                            _CLOSURES[key] = closure
+                            assert _outcome(target, k, args, budget) == cold, (target, k, budget)
+
+
+def test_unsupported_variety_fails_alike_cold_and_warm():
+    args = (("a", "b"), OperatorCatalog.negation_or(), 1)
+    _CLOSURES.clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match="no canonical form"):
+            search_equivalent(core("a"), Variety.PMEM, *args)
+        enumerate_tc12(*args)
+
+
+def test_a_stream_cut_short_stores_nothing():
+    catalog = OperatorCatalog.negation_or()
+    _CLOSURES.clear()
+    assert search_equivalent(core("not a"), Variety.FR, ("a", "b"), catalog, 2) is not None
+    with pytest.raises(BudgetExceededError):
+        enumerate_tc12(("a", "b"), catalog, 2, budget=10)
+    stream = iter_tc12(("a", "b"), catalog, 2)
+    next(stream)
+    stream.close()
+    assert not _CLOSURES
+    # A miss runs the stream to its end, and keeps it.
+    assert search_equivalent(core("b <| a |> (not b)"), Variety.FR, ("a", "b"), catalog, 2) is None
+    assert list(_CLOSURES) == [_closure_key(("a", "b"), catalog, 2, 3)]
+
+
+def test_the_store_drops_the_oldest_closure_and_rebuilds_it():
+    catalog = OperatorCatalog.negation_and_or()
+    _CLOSURES.clear()
+    first = ("a", "b"), catalog, 2, 3
+    reference = _reference_closure(*first)
+    assert enumerate_tc12(*first) == reference
+    for result_depth in range(4, 4 + CLOSURE_SLOTS):
+        enumerate_tc12(("a", "b"), catalog, 2, result_depth)
+    assert len(_CLOSURES) == CLOSURE_SLOTS
+    assert _closure_key(*first) not in _CLOSURES
+    assert enumerate_tc12(*first) == reference
+    assert _closure_key(*first) in _CLOSURES
+    assert len(_CLOSURES) == CLOSURE_SLOTS
 
 
 def test_mem_definability():

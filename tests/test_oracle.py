@@ -85,23 +85,45 @@ def test_generated_tables_are_members_and_distinct():
 # --- compare_terms vs. brute force -----------------------------------------
 
 
-def _brute_verdict(p, q, k, alphabet, obs_depth):
-    value_ok = True
+class _BruteTables:
+    """Every explicit k-table over the alphabet, enumerated once, with each
+    term evaluated once per table and each residual's replies read once."""
+
+    def __init__(self, k, alphabet, obs_depth):
+        self.obs_depth = obs_depth
+        self.tables = list(enumerate_tables(alphabet, obs_depth, k))
+        self.runs = {}
+        self.replies = {}
+
+    def run(self, p):
+        if p not in self.runs:
+            self.runs[p] = [evaluate(p, h) for h in self.tables]
+        return self.runs[p]
+
+    def residual_replies(self, i, trace, rem):
+        """The replies of table i's residual after trace to every string of
+        length 1..rem, in order."""
+        key = (i, trace, rem)
+        if key not in self.replies:
+            h = self.tables[i]
+            d = h.residual(trace) if trace else h
+            self.replies[key] = tuple(
+                d.reply(tau)
+                for tau in itertools.chain.from_iterable(
+                    itertools.product(h.names, repeat=n) for n in range(1, rem + 1)
+                )
+            )
+        return self.replies[key]
+
+
+def _brute_verdict(p, q, brute):
     residual_ok = True
-    for h in enumerate_tables(alphabet, obs_depth, k):
-        r1 = evaluate(p, h)
-        r2 = evaluate(q, h)
+    for i, (r1, r2) in enumerate(zip(brute.run(p), brute.run(q))):
         if r1.value != r2.value:
             return "value"
-        rem = obs_depth - max(len(r1.trace), len(r2.trace))
-        if rem > 0:
-            d1 = h.residual(r1.trace) if r1.trace else h
-            d2 = h.residual(r2.trace) if r2.trace else h
-            for tau in itertools.chain.from_iterable(
-                itertools.product(h.names, repeat=n) for n in range(1, rem + 1)
-            ):
-                if d1.reply(tau) != d2.reply(tau):
-                    residual_ok = False
+        rem = brute.obs_depth - max(len(r1.trace), len(r2.trace))
+        if rem > 0 and residual_ok:
+            residual_ok = brute.residual_replies(i, r1.trace, rem) == brute.residual_replies(i, r2.trace, rem)
     return "congruent" if residual_ok else "derivative"
 
 
@@ -111,8 +133,9 @@ def _brute_verdict(p, q, k, alphabet, obs_depth):
 def test_compare_terms_matches_brute_force(k):
     forms = enumerate_basic_forms(("a", "b"), 1)
     pairs = [(p, q) for p in forms for q in forms]
+    brute = _BruteTables(k, (A, B), 3)
     for p, q in pairs:
-        expected = _brute_verdict(p, q, k, (A, B), 3)
+        expected = _brute_verdict(p, q, brute)
         got = compare_terms(p, q, k, (A, B), 3, residuals=True)
         assert got == expected, (p, q, k)
 

@@ -3,8 +3,11 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propalg.errors import UnsupportedConnectiveError
+from propalg.congruence import normalize
+from propalg.errors import BudgetExceededError, UnsupportedConnectiveError
+from propalg.oracle import sat_fal_search, satisfying_assignment
 from propalg.sat import (
+    _leaves,
     acc,
     crpmem_translation_holds,
     leaf_check_matches_inductive,
@@ -14,7 +17,7 @@ from propalg.sat import (
     st_classically_satisfiable,
 )
 from propalg.syntax import desugar, parse
-from propalg.terms import Atom, Cond, FALSE, TRUE, Variety, atom, atoms, depth
+from propalg.terms import MAIN_CHAIN, Atom, Cond, FALSE, TRUE, Variety, atom, atoms, depth
 from propalg.valuation import enumerate_tables, evaluate, in_variety
 
 A = atom("a")
@@ -139,22 +142,64 @@ def test_depth7_witness_over_three_atoms(k):
 
 @pytest.mark.parametrize("k", [Variety.PMEM, Variety.NMEM])
 def test_side_family_witness_reuses_the_deciding_search(k, monkeypatch):
-    # The satisfying assignment that decides SAT is the one materialized, so
-    # each target value is searched for once.
+    # The satisfying assignment that decides SAT is the one materialized:
+    # one search decides both values, and no second search runs.
     sat_module = importlib.import_module("propalg.sat")
-    search = sat_module.satisfying_assignment
-    targets = []
+    calls = []
 
-    def counted(*args):
-        targets.append(args[4])
-        return search(*args)
+    def counted(search):
+        def run(*args):
+            calls.append(search.__name__)
+            return search(*args)
 
-    monkeypatch.setattr(sat_module, "satisfying_assignment", counted)
+        return run
+
+    for name in ("sat_fal_search", "satisfying_assignment"):
+        monkeypatch.setattr(sat_module, name, counted(getattr(sat_module, name)))
     p = core("(a lor b) land not a")
     v = sat(p, k, witness=True)
-    assert sorted(targets) == [False, True]
+    assert calls == ["sat_fal_search"]
     assert v.satisfiable and in_variety(v.witness, k)
     assert evaluate(p, v.witness).value is True
+
+
+_side = st.sampled_from([k for k in Variety if k not in MAIN_CHAIN])
+
+
+def _single_target(p, k, alphabet, d, target, budget):
+    try:
+        return satisfying_assignment(p, k, alphabet, d, target, budget)
+    except BudgetExceededError:
+        return "budget"
+
+
+@given(_terms, _side)
+@settings(max_examples=150, deadline=None)
+def test_one_search_answers_as_two_single_target_searches(t, k):
+    # The witness is the T search's, falsifiability is the F search's, and a
+    # budget runs out exactly when it runs out for either of them.
+    alphabet, d = tuple(sorted(atoms(t))) or (Atom("a"),), max(1, depth(t))
+    for budget in range(40):
+        sat_t = _single_target(t, k, alphabet, d, True, budget)
+        sat_f = _single_target(t, k, alphabet, d, False, budget)
+        if "budget" in (sat_t, sat_f):
+            with pytest.raises(BudgetExceededError):
+                sat_fal_search(t, k, alphabet, d, budget)
+        else:
+            assert sat_fal_search(t, k, alphabet, d, budget) == (sat_t, sat_f is not None)
+
+
+def _tree_leaves(t):
+    if isinstance(t, Cond):
+        return _tree_leaves(t.left) | _tree_leaves(t.right)
+    return {t is TRUE}
+
+
+@given(_terms, st.sampled_from(list(MAIN_CHAIN)))
+@settings(max_examples=100, deadline=None)
+def test_leaves_of_a_normal_form_are_its_tree_leaves(t, k):
+    form = normalize(t, k)
+    assert _leaves(form) == _tree_leaves(form)
 
 
 # --- reductions and translations -------------------------------------------
